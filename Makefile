@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race recover-test cluster-test cluster-obs-test tournament-test learning-test batch-test bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate bench-batch-gate ci
+.PHONY: all build fmt-check vet test race stress perfbench-check recover-test cluster-test cluster-obs-test tournament-test learning-test bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
 
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
@@ -27,6 +27,19 @@ test:
 # The job subsystem is concurrent; the race detector is part of tier-1.
 race:
 	$(GO) test -race ./...
+
+# Ordering stress: the tests that catch a job reading as finished before one
+# of its side effects (a journaled cell, an archived trace, a worker's commit
+# credit) has landed, repeated under the race detector.
+stress:
+	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestTraceStoreEvictionHook|TestClusterStatusEndpoint' ./internal/service ./internal/cluster
+
+# The end-to-end benchmark (perfbench/, its own module) compiles against part
+# of this module's API; vetting and testing it here (including its one-job
+# smoke run per workload) turns an API change into a CI failure instead of a
+# broken benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Multi-node suite under the race detector: sharded dispatch, lease expiry
 # and reassignment, heartbeat failure detection, kill-mid-job bit-identity,
@@ -61,14 +74,6 @@ tournament-test:
 # the durable curve archive.
 learning-test:
 	$(GO) test -race -run 'TestLearning|TestCurve|TestLeaderboardTieBreak' ./internal/rl ./internal/sim ./internal/campaign ./internal/service ./internal/durable
-
-# Lockstep-batching suite under the race detector: batch-kernel bit-identity
-# against the scalar stepper (including the large-grid streaming kernel and
-# the zero-alloc Advance guarantee), sim.RunBatch lane isolation and mixed
-# configs, PlanBatches grouping, the pool's batched-vs-unbatched leaderboard
-# bit-identity, and worker-aware task planning.
-batch-test:
-	$(GO) test -race -run 'TestBatch|TestRunBatch|TestPlanBatches|TestPoolBatched|TestPlanTasks' ./internal/thermal ./internal/sim ./internal/campaign ./internal/service
 
 # Full benchmark sweep (quick-mode experiment regeneration plus the
 # micro-benchmarks of every package). The human-readable benchstat text is
@@ -135,15 +140,7 @@ bench-learning-gate:
 	$(GO) test -bench 'BenchmarkFig1$$' -benchmem -count=1 -run '^$$' . | tee results/bench-learning.txt
 	$(GO) run ./cmd/benchjson -only 'BenchmarkFig1' -threshold 0.02 -gate-ns -compare BENCH_pr8.json results/bench-learning.txt
 
-# Batched-campaign throughput floor: the batched 64-cell sweep's ns/op (the
-# inverse of its sims/s — the per-op simulation count is fixed) must stay
-# within 50% of the committed PR 10 baseline, catching kernel regressions like
-# a de-optimized inner loop while leaving headroom for shared-hardware noise.
-# Like bench-dispatch-gate, a wall-clock gate against a baseline recorded in a
-# different run belongs on a quiet machine, not in ci.
-bench-batch-gate:
-	@mkdir -p results
-	$(GO) test -bench 'BenchmarkBatchCampaign/batched' -benchmem -count=1 -run '^$$' . | tee results/bench-batch.txt
-	$(GO) run ./cmd/benchjson -only 'BenchmarkBatchCampaign/batched' -threshold 0.50 -gate-ns -compare BENCH_pr10.json results/bench-batch.txt
-
-ci: build fmt-check vet race cluster-test cluster-obs-test tournament-test learning-test batch-test bench-smoke bench-compare-smoke
+# The focused suites (recover-test, cluster-test, cluster-obs-test,
+# tournament-test, learning-test) stay out of ci: race already runs every
+# test they select.
+ci: build fmt-check vet race perfbench-check bench-smoke bench-compare-smoke

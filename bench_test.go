@@ -10,14 +10,10 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/service"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func benchCfg() experiments.Config {
@@ -258,107 +254,6 @@ func BenchmarkPooledSuite(b *testing.B) {
 			}
 		})
 	}
-}
-
-// batchCampaignRun builds one cell of the batch-throughput sweep: the full
-// 32-core platform (4x8 grid, 34 thermal nodes) running a short tachyon
-// workload under the ondemand governor. tick parameterizes the step size so
-// the cold baseline below can force per-cell thermal-model factorization.
-func batchCampaignRun(tick float64) sim.BatchRun {
-	rc := sim.DefaultRunConfig()
-	rc.Platform.TickS = tick
-	rc.Platform.GridRows, rc.Platform.GridCols = 4, 8
-	rc.Platform.Sched.NumCores = 32
-	rc.DiscardTrace = true
-	sp := workload.TachyonSpec(workload.Set2)
-	sp.NumThreads = 48
-	sp.Iterations = 1
-	pol, err := experiments.NewPolicy(experiments.PolicyLinuxOndemand)
-	if err != nil {
-		panic(err)
-	}
-	return sim.BatchRun{Cfg: rc, Work: sp.Generate(), Policy: pol}
-}
-
-// benchBatchCells is the sweep width for BenchmarkBatchCampaign: enough lanes
-// to fill the default service batch and to amortize one factorization over
-// many cells.
-const benchBatchCells = 64
-
-// runBatchCampaignGoroutines is the pre-batching execution mode: one
-// goroutine per cell. perturb skews each cell's tick by one ulp-scale factor,
-// which defeats the shared factorization cache and reproduces the pre-cache
-// cost model (every cell factors its own thermal model).
-func runBatchCampaignGoroutines(b *testing.B, perturb bool) {
-	b.Helper()
-	var wg sync.WaitGroup
-	for i := 0; i < benchBatchCells; i++ {
-		tick := 0.01
-		if perturb {
-			tick = 0.01 * (1 + float64(i)*1e-14)
-		}
-		r := batchCampaignRun(tick)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sim.Run(r.Cfg, r.Work, r.Policy); err != nil {
-				b.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BenchmarkBatchCampaign measures campaign throughput (simulations completed
-// per second) for a 64-cell identical-configuration sweep under three
-// execution modes:
-//
-//   - goroutines-cold: goroutine per cell with per-cell factorization — the
-//     cost model before this repo had a factorization cache.
-//   - goroutines: goroutine per cell sharing the factorization cache.
-//   - batched: sim.RunBatch lockstep, one matrix pass per tick for all lanes
-//     (rows bit-identical to the scalar path; asserted by the sim and
-//     service tests).
-//
-// The batched sub-benchmark also reports its speedup over the cold baseline
-// as xVsColdGoroutines, which `make bench` archives into the BENCH_*.json
-// summary. See the README's Performance section for what these numbers look
-// like on a single-CPU host and why.
-func BenchmarkBatchCampaign(b *testing.B) {
-	b.Run("goroutines-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatchCampaignGoroutines(b, true)
-		}
-		b.ReportMetric(float64(benchBatchCells*b.N)/b.Elapsed().Seconds(), "sims/s")
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatchCampaignGoroutines(b, false)
-		}
-		b.ReportMetric(float64(benchBatchCells*b.N)/b.Elapsed().Seconds(), "sims/s")
-	})
-	b.Run("batched", func(b *testing.B) {
-		// One timed cold sweep gives the baseline for the multiplier without
-		// polluting the benchmark loop; ResetTimer excludes it.
-		start := time.Now()
-		runBatchCampaignGoroutines(b, true)
-		coldSweep := time.Since(start)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runs := make([]sim.BatchRun, benchBatchCells)
-			for j := range runs {
-				runs[j] = batchCampaignRun(0.01)
-			}
-			_, errs := sim.RunBatch(runs)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(benchBatchCells*b.N)/b.Elapsed().Seconds(), "sims/s")
-		b.ReportMetric(coldSweep.Seconds()/(b.Elapsed().Seconds()/float64(b.N)), "xVsColdGoroutines")
-	})
 }
 
 // BenchmarkAblation runs the mechanism-removal study and reports the

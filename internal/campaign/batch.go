@@ -2,14 +2,11 @@ package campaign
 
 import "repro/internal/experiments"
 
-// PlanBatches partitions a planned cell list into lockstep-batchable groups
-// and a scalar remainder. A cell is batchable when its planner exposed the
-// prepare/finish split (Cell.Prepare != nil) — one simulation per cell whose
-// lane can join a sim.RunBatch. Groups preserve plan order and hold at most
-// maxLanes cells (maxLanes <= 0 means unbounded); thermal-configuration
-// compatibility is NOT decided here — sim.RunBatch sub-groups lanes by
-// (floorplan, tick) itself and falls back per lane where needed — so a group
-// is simply "cells that may share one lockstep pass".
+// PlanBatches partitions a planned cell list into groups of cells that expose
+// the prepare/finish split (Cell.Prepare != nil), ready for sim.RunBatch, and
+// a scalar remainder. Groups preserve plan order and hold at most maxLanes
+// cells (maxLanes <= 0 means unbounded). The service pool runs every cell on
+// its own; this grouping serves callers that drive prepared runs themselves.
 //
 // Scalar indices are cells without a prepare split (seed studies, single-shot
 // figure experiments): they keep running through Cell.Run.

@@ -100,8 +100,8 @@ func traceCfg(ctx context.Context, cfg experiments.Config) experiments.Config {
 // prepareCell splits one tournament cell into its simulation and row mapper:
 // instantiate the registered policy with the cell's derived seed (and the
 // resolved warm-start checkpoint, if its kind belongs to the policy), arm
-// learning-curve sampling, and return the row collector. Both the scalar
-// (runCell) and batched (sim.RunBatch) paths execute exactly this pair.
+// learning-curve sampling, and return the row collector. runCell executes
+// exactly this pair.
 func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, experiments.FinishCell, error) {
 	var ckpt *policy.Checkpoint
 	if len(cfg.WarmCheckpoint) > 0 {
@@ -123,7 +123,7 @@ func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, 
 	// Tournament cells always sample the learning curve: sampling is
 	// observation-only (it never touches a policy's action-selection RNG),
 	// so rows stay bit-identical with and without it across standalone,
-	// pooled, sharded and batched execution — while every row gains the
+	// pooled and sharded execution — while every row gains the
 	// convergence verdict and per-core damage attribution.
 	sampled := new(*rl.LearningSampler)
 	rc.LearningObserver = func(_, _ string, s *rl.LearningSampler) { *sampled = s }

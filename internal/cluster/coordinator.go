@@ -372,8 +372,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpJSON(w, http.StatusOK, CompleteResponse{})
 		return
 	}
+	// Credit the worker and record the commit before the result reaches the
+	// pool: the cell may be the job's last, and a finished job must already
+	// show every committed cell in the cluster counters and event log.
 	ok := c.leases.Complete(req.Job, req.Cell, req.LeaseID, req.Worker,
-		Result{Row: req.Row, Err: req.Err, Spans: req.Spans, ExecUS: req.ExecUS})
+		Result{Row: req.Row, Err: req.Err, Spans: req.Spans, ExecUS: req.ExecUS},
+		func() {
+			c.members.Committed(req.Worker)
+			c.events.Record(ClusterEvent{Kind: EventCellCommitted, Worker: req.Worker, Job: req.Job, Cell: req.Cell})
+		})
 	if !ok {
 		// Stale or double delivery: drop the result idempotently. 200 (not
 		// an error) so the worker does not retry. The span batch is still
@@ -387,9 +394,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		c.duplicateResults.Inc()
 		c.log.Info("stale completion dropped", "worker", req.Worker, "job", req.Job, "cell", req.Cell, "lease", req.LeaseID)
-	} else {
-		c.members.Committed(req.Worker)
-		c.events.Record(ClusterEvent{Kind: EventCellCommitted, Worker: req.Worker, Job: req.Job, Cell: req.Cell})
 	}
 	httpJSON(w, http.StatusOK, CompleteResponse{Duplicate: !ok})
 }

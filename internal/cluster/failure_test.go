@@ -202,16 +202,16 @@ func TestLeaseTableIdempotency(t *testing.T) {
 	if ls.Active() != 1 {
 		t.Fatalf("active %d, want 1", ls.Active())
 	}
-	if ls.Complete("job-1", 0, l1.ID+1, "wA", Result{}) {
+	if ls.Complete("job-1", 0, l1.ID+1, "wA", Result{}, nil) {
 		t.Error("wrong lease id accepted")
 	}
-	if ls.Complete("job-1", 0, l1.ID, "wB", Result{}) {
+	if ls.Complete("job-1", 0, l1.ID, "wB", Result{}, nil) {
 		t.Error("wrong worker accepted")
 	}
-	if !ls.Complete("job-1", 0, l1.ID, "wA", Result{Err: "x"}) {
+	if !ls.Complete("job-1", 0, l1.ID, "wA", Result{Err: "x"}, nil) {
 		t.Error("valid completion refused")
 	}
-	if ls.Complete("job-1", 0, l1.ID, "wA", Result{}) {
+	if ls.Complete("job-1", 0, l1.ID, "wA", Result{}, nil) {
 		t.Error("double completion accepted")
 	}
 	select {
@@ -231,10 +231,10 @@ func TestLeaseTableIdempotency(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Error("superseded lease did not expire")
 	}
-	if ls.Complete("job-1", 1, l2.ID, "wA", Result{}) {
+	if ls.Complete("job-1", 1, l2.ID, "wA", Result{}, nil) {
 		t.Error("superseded lease accepted a completion")
 	}
-	if !ls.Complete("job-1", 1, l3.ID, "wB", Result{}) {
+	if !ls.Complete("job-1", 1, l3.ID, "wB", Result{}, nil) {
 		t.Error("successor lease refused its completion")
 	}
 

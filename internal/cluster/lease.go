@@ -88,16 +88,25 @@ func (ls *Leases) Grant(job string, cell int, worker string, ttl time.Duration) 
 // Complete delivers a worker's result for (job, cell) under leaseID,
 // reporting false when the lease is stale — already expired, already
 // satisfied, superseded by a reassignment, or held by a different worker.
-func (ls *Leases) Complete(job string, cell int, leaseID uint64, worker string, res Result) bool {
+// commit, when non-nil, runs once the lease is validated and before the
+// result is delivered, so whatever it records is visible by the time the
+// dispatcher sees the result (and the job possibly finishes).
+func (ls *Leases) Complete(job string, cell int, leaseID uint64, worker string, res Result, commit func()) bool {
 	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	key := leaseKey(job, cell)
 	l, ok := ls.active[key]
 	if !ok || l.ID != leaseID || l.Worker != worker {
+		ls.mu.Unlock()
 		return false
 	}
 	delete(ls.active, key)
 	l.timer.Stop()
+	ls.mu.Unlock()
+	// The lease left the table above, so no expiry or second completion
+	// can touch it while commit runs outside the lock.
+	if commit != nil {
+		commit()
+	}
 	l.done <- res // buffered; exactly one send per lease
 	return true
 }

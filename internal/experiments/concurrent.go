@@ -80,7 +80,7 @@ func concurrentCells(cfg Config) []concurrentCell {
 }
 
 // prepareConcurrentCell splits one concurrent cell into its simulation and
-// row mapper, the batchable form of runConcurrentCell.
+// row mapper, the prepared form of runConcurrentCell.
 func prepareConcurrentCell(cfg Config, c concurrentCell) (sim.BatchRun, FinishCell, error) {
 	con, err := buildMix(c.Mix[0], c.Mix[1])
 	if err != nil {

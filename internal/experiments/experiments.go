@@ -146,8 +146,7 @@ func (c Config) agentSeed() int64 {
 }
 
 // prepareApp assembles the simulation for one (app, dataset, policy)
-// combination without running it, so a batch executor can drive it as one
-// lane of sim.RunBatch.
+// combination without running it.
 func prepareApp(cfg Config, appName string, ds workload.DataSet, policy string) (sim.BatchRun, error) {
 	app, err := workload.ByName(appName, ds)
 	if err != nil {

@@ -20,12 +20,12 @@ type Cell struct {
 	// the experiment (SuiteRow, Table2Cell, ...).
 	Run func(ctx context.Context) (any, error)
 	// Prepare, when non-nil, splits the cell into its simulation and a
-	// finish step mapping the Result to the cell's row, letting a batch
-	// executor drive many cells' simulations in lockstep (sim.RunBatch).
-	// Run remains the complete scalar path and routes through the same
-	// prepare/finish pair, so batched and scalar rows are bit-identical by
-	// construction. Cells whose work is not a single simulation (seed
-	// studies, single-shot figure experiments) leave Prepare nil.
+	// finish step mapping the Result to the cell's row, letting a caller
+	// drive the simulation itself (a profiler, a hand-driven replay). Run
+	// remains the complete path and routes through the same prepare/finish
+	// pair, so rows are bit-identical either way. Cells whose work is not a
+	// single simulation (seed studies, single-shot figure experiments)
+	// leave Prepare nil.
 	Prepare func(ctx context.Context) (sim.BatchRun, FinishCell, error)
 }
 

@@ -49,7 +49,7 @@ func suiteCells(cfg Config) []suiteCell {
 }
 
 // prepareSuiteCell splits one suite cell into its simulation and row mapper,
-// the batchable form of runSuiteCell.
+// the prepared form of runSuiteCell.
 func prepareSuiteCell(cfg Config, c suiteCell) (sim.BatchRun, FinishCell, error) {
 	br, err := prepareApp(cfg, c.App, workload.Set1, c.Policy)
 	if err != nil {

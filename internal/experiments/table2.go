@@ -53,7 +53,7 @@ func table2Cells(cfg Config) []table2Cell {
 }
 
 // prepareTable2Cell splits one Table 2 cell into its simulation and row
-// mapper, the batchable form of runTable2Cell.
+// mapper, the prepared form of runTable2Cell.
 func prepareTable2Cell(cfg Config, c table2Cell) (sim.BatchRun, FinishCell, error) {
 	br, err := prepareApp(cfg, c.App, c.DataSet, c.Policy)
 	if err != nil {

@@ -190,9 +190,8 @@ func New(cfg Config, work workload.Workload) *Platform {
 }
 
 // NewWithStepper builds a platform like New but driven by an externally
-// constructed thermal stepper — typically one lane of a thermal.BatchStepper,
-// so a batch driver can advance many platforms' thermal states in one fused
-// pass. The stepper must be sized for the configured floorplan and accept
+// constructed thermal stepper — for example one wrapped to time or count its
+// steps. The stepper must be sized for the configured floorplan and accept
 // steps of cfg.TickS; cfg.Solver is ignored.
 func NewWithStepper(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 	if st == nil {
@@ -202,8 +201,9 @@ func NewWithStepper(cfg Config, work workload.Workload, st thermal.Stepper) *Pla
 }
 
 // GridDims returns the effective core-grid dimensions for a config (the
-// zero-value grid is the paper's 2x2 quad-core). Batch planners use this to
-// construct floorplans value-identical to the one build will create.
+// zero-value grid is the paper's 2x2 quad-core). Callers building their own
+// stepper use this to construct a floorplan value-identical to the one build
+// will create.
 func GridDims(cfg Config) (rows, cols int) {
 	rows, cols = cfg.GridRows, cfg.GridCols
 	if rows == 0 && cols == 0 {

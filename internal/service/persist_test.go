@@ -57,6 +57,37 @@ func suiteRowPlan(n int) Planner {
 	}
 }
 
+// checkTerminalLast fails the test when a job's KindCell record follows its
+// terminal KindFinish record in the WAL bytes: a crash between the two
+// writes would recover a finished job with a row missing.
+func checkTerminalLast(t *testing.T, wal []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, payloads, err := durable.OpenWAL(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	finished := map[string]bool{}
+	for i, p := range payloads {
+		var rec durable.Record
+		if err := json.Unmarshal(p, &rec); err != nil {
+			t.Fatalf("wal record %d: %v", i, err)
+		}
+		switch rec.Kind {
+		case durable.KindFinish:
+			finished[rec.Job] = true
+		case durable.KindCell:
+			if finished[rec.Job] {
+				t.Errorf("wal record %d: cell %d of %s journaled after the job's terminal record", i, rec.Cell, rec.Job)
+			}
+		}
+	}
+}
+
 // gateJournal forwards to a real journal until cut, then silently drops
 // records — the WAL then holds exactly the prefix a SIGKILL at that moment
 // would have left behind, while the in-process pool still unwinds cleanly.
@@ -211,6 +242,7 @@ func TestRecoveryTruncateEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTerminalLast(t, wal)
 
 	scratch := t.TempDir()
 	for off := 0; off <= len(wal); off++ {

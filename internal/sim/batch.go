@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"repro/internal/platform"
-	"repro/internal/thermal"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // BatchRun is one simulation of a batch: the same triple Run takes.
 type BatchRun struct {
@@ -13,123 +9,14 @@ type BatchRun struct {
 	Policy Policy
 }
 
-// batchKey groups runs whose thermal configuration is value-identical: they
-// share one precomputed A/B/c update and can advance as lanes of a single
-// BatchStepper. Everything else (power model, scheduler, policy, seeds) is
-// per-lane state and does not affect groupability.
-type batchKey struct {
-	tick       float64
-	rows, cols int
-	flp        thermal.FloorplanConfig
-}
-
-// batchableKey returns the grouping key for a run, or ok=false when the run
-// cannot join a batch (non-fixed solver — the reference integrators have no
-// precomputed update to share).
-func batchableKey(cfg *RunConfig) (batchKey, bool) {
-	if cfg.Platform.Solver != platform.SolverFixed {
-		return batchKey{}, false
-	}
-	rows, cols := platform.GridDims(cfg.Platform)
-	return batchKey{tick: cfg.Platform.TickS, rows: rows, cols: cols, flp: cfg.Platform.Floorplan}, true
-}
-
-// RunBatch executes the runs in lockstep, grouping configuration-compatible
-// runs into lanes of a shared thermal.BatchStepper so the per-tick matrix
-// work streams once per lane block instead of once per simulation. Runs that
-// cannot batch (reference solvers) fall back to plain Run. Per-lane policy,
-// RNG and collector state stay fully independent and each lane executes
-// exactly Run's observable sequence, so results[i] is bit-identical to what
-// Run(runs[i]...) would return.
-//
-// results[i] and errs[i] correspond to runs[i]; exactly one of them is
-// non-nil per index. A failed lane (MaxSimS) does not disturb other lanes.
+// RunBatch executes the runs one after another through Run. results[i] and
+// errs[i] correspond to runs[i]; exactly one of them is non-nil per index,
+// and a failed run leaves the others' results untouched.
 func RunBatch(runs []BatchRun) (results []*Result, errs []error) {
 	results = make([]*Result, len(runs))
 	errs = make([]error, len(runs))
-	groups := make(map[batchKey][]int)
-	order := make([]batchKey, 0, 4)
-	for i := range runs {
-		key, ok := batchableKey(&runs[i].Cfg)
-		if !ok {
-			results[i], errs[i] = Run(runs[i].Cfg, runs[i].Work, runs[i].Policy)
-			continue
-		}
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	for _, key := range order {
-		runBatchGroup(key, runs, groups[key], results, errs)
+	for i, r := range runs {
+		results[i], errs[i] = Run(r.Cfg, r.Work, r.Policy)
 	}
 	return results, errs
-}
-
-// batchLane pairs a lane's simulation state with its index in the caller's
-// run slice.
-type batchLane struct {
-	l   *laneState
-	idx int
-}
-
-// runBatchGroup drives one configuration group in lockstep. Each tick has two
-// phases: every active lane runs preStep (recording + platform step, which
-// stages its power vector into the batch), the batch advances all staged
-// lanes in one fused pass, then every lane runs postStep (policy tick). That
-// is exactly Run's per-lane ordering — a policy only observes temperatures
-// after the thermal update, as in the scalar path.
-func runBatchGroup(key batchKey, runs []BatchRun, idxs []int, results []*Result, errs []error) {
-	// The group floorplan is value-identical to the one each lane's platform
-	// builds internally, so the precomputed update comes from the shared
-	// factorization cache either way.
-	fp := thermal.GridFloorplan(key.rows, key.cols, key.flp)
-	batch, err := thermal.NewBatchStepper(fp.Net, key.tick, len(idxs))
-	if err != nil {
-		for _, i := range idxs {
-			errs[i] = err
-		}
-		return
-	}
-	initSimMetrics()
-	mBatchGroupSize.Observe(float64(len(idxs)))
-	active := make([]batchLane, 0, len(idxs))
-	for k, i := range idxs {
-		l, err := newLane(runs[i].Cfg, runs[i].Work, runs[i].Policy, batch.Lane(k))
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		active = append(active, batchLane{l: l, idx: i})
-	}
-	mBatchLanes.Add(float64(len(active)))
-	for len(active) > 0 {
-		// Phase 1: checks, recording, platform step (stages lane power).
-		kept := active[:0]
-		retired := 0
-		for _, ln := range active {
-			done, err := ln.l.preStep()
-			if err != nil {
-				errs[ln.idx] = ln.l.fail(err)
-				retired++
-				continue
-			}
-			if done {
-				results[ln.idx] = ln.l.finish()
-				retired++
-				continue
-			}
-			kept = append(kept, ln)
-		}
-		active = kept
-		if retired > 0 {
-			mBatchLanes.Add(-float64(retired))
-		}
-		// Phase 2: one fused thermal pass over every staged lane.
-		batch.Advance()
-		// Phase 3: policies observe the post-step platforms.
-		for _, ln := range active {
-			ln.l.postStep()
-		}
-	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// batchCase describes one lane of a batch-vs-scalar comparison: a fresh
+// batchCase describes one run of a RunBatch-vs-Run comparison: a fresh
 // config/workload/policy triple must be constructed per execution because
 // workloads and policies are stateful.
 type batchCase struct {
@@ -40,7 +40,7 @@ func gridCase(name string, rows, cols int, seed int64) batchCase {
 }
 
 // runScalarAndBatch executes the cases through Run and through RunBatch and
-// requires every lane's Result (all fields, traces included) to be
+// requires every run's Result (all fields, traces included) to be
 // bit-identical between the two paths.
 func runScalarAndBatch(t *testing.T, cases []batchCase) ([]*Result, []*Result) {
 	t.Helper()
@@ -73,9 +73,9 @@ func runScalarAndBatch(t *testing.T, cases []batchCase) ([]*Result, []*Result) {
 	return scalar, batched
 }
 
-// TestRunBatchBitIdentical compares batch against scalar across lane counts
-// K ∈ {1, 3, 8} with mixed policies (governor, Ge & Qiu baseline, RL
-// controller), mixed seeds and both collector modes.
+// TestRunBatchBitIdentical pins RunBatch's contract that each run equals
+// Run, across batch sizes K ∈ {1, 3, 8} with mixed policies (governor, Ge &
+// Qiu baseline, RL controller), mixed seeds and both collector modes.
 func TestRunBatchBitIdentical(t *testing.T) {
 	mkOndemand := func() Policy { return LinuxPolicy{Kind: governor.Ondemand} }
 	mkPowersave := func() Policy { return LinuxPolicy{Kind: governor.Powersave} }
@@ -98,10 +98,9 @@ func TestRunBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBatchMixedConfigs puts three incompatible thermal configurations
-// (quad-core, 3x3 grid, 4x4 grid) plus a non-batchable reference-solver lane
-// in one RunBatch call: the planner must split them into per-config
-// sub-batches (and a scalar fallback) with every lane still bit-identical.
+// TestRunBatchMixedConfigs puts three thermal configurations (quad-core,
+// 3x3 grid, 4x4 grid) plus an implicit-solver run in one RunBatch call:
+// every run must still be bit-identical to Run.
 func TestRunBatchMixedConfigs(t *testing.T) {
 	implicitCase := batchCase{name: "implicit-fallback", mk: func() (RunConfig, workload.Workload, Policy) {
 		cfg := DefaultRunConfig()
@@ -122,7 +121,7 @@ func TestRunBatchMixedConfigs(t *testing.T) {
 
 // TestRunBatchDecisionSequence requires the RL controller's full decision
 // event stream — state, action, reward, alpha, exploration flags per epoch —
-// to be identical between the scalar and batched paths.
+// to be identical between Run and RunBatch.
 func TestRunBatchDecisionSequence(t *testing.T) {
 	mk := func(rec *telemetry.Recorder) (RunConfig, workload.Workload, Policy) {
 		cfg := DefaultRunConfig()
@@ -137,8 +136,8 @@ func TestRunBatchDecisionSequence(t *testing.T) {
 	}
 	batchRec := telemetry.NewRecorder(4096)
 	cfg2, work2, pol2 := mk(batchRec)
-	// Pair the lane under test with two sibling lanes so the batch kernel
-	// actually interleaves it with other simulations.
+	// Pair the run under test with two sibling runs, so any state leaking
+	// between neighbouring runs would show in its decision stream.
 	sibling := func(seed int64) BatchRun {
 		c := DefaultRunConfig()
 		c.Platform.Seed = seed
@@ -160,8 +159,8 @@ func TestRunBatchDecisionSequence(t *testing.T) {
 	}
 }
 
-// TestRunBatchLaneFailureIsolated makes one lane exceed MaxSimS and requires
-// the surviving lanes to finish bit-identical to their scalar runs.
+// TestRunBatchLaneFailureIsolated makes one run exceed MaxSimS and requires
+// its neighbours to finish bit-identical to their scalar runs.
 func TestRunBatchLaneFailureIsolated(t *testing.T) {
 	good := func() (RunConfig, workload.Workload, Policy) {
 		cfg := DefaultRunConfig()

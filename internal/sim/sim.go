@@ -13,7 +13,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/rl"
 	"repro/internal/telemetry"
-	"repro/internal/thermal"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -178,35 +177,24 @@ type DecisionInfoProvider interface {
 // Run executes the workload under the policy until completion (or MaxSimS)
 // and returns the collected metrics.
 func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) {
-	l, err := newLane(cfg, work, policy, nil)
+	r, err := newRun(cfg, work, policy)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		done, err := l.preStep()
+		done, err := r.step()
 		if err != nil {
-			return nil, l.fail(err)
+			return nil, r.fail(err)
 		}
 		if done {
-			return l.finish(), nil
+			return r.finish(), nil
 		}
-		l.postStep()
 	}
 }
 
-// laneState is the per-run state of the simulation loop, factored out of Run
-// so the batch driver (RunBatch) can interleave many runs in lockstep. One
-// loop iteration of Run is exactly
-//
-//	done, err := l.preStep()   // Done/MaxSimS checks, oracle recording, p.Step()
-//	l.postStep()               // policy.Tick, step accounting
-//
-// For a scalar run p.Step() advances the thermal state immediately; for a
-// batch lane it only stages the power vector, and the driver calls the
-// batch's Advance between the two phases. Either way each lane's observable
-// sequence — temperatures read, powers computed, policy decisions — is
-// identical, which is what keeps batched results bit-identical to Run's.
-type laneState struct {
+// runState is the per-run state of the simulation loop: Run is newRun, then
+// step until done, then finish.
+type runState struct {
 	cfg     RunConfig
 	work    workload.Workload
 	policy  Policy
@@ -224,29 +212,23 @@ type laneState struct {
 	steps      int64
 }
 
-// newLane performs everything Run does before its step loop: platform
-// construction (with the externally supplied stepper, if any), policy
-// attachment, observability arming and collector setup. st == nil builds the
-// platform's own solver (the scalar path).
-func newLane(cfg RunConfig, work workload.Workload, policy Policy, st thermal.Stepper) (*laneState, error) {
+// newRun performs everything Run does before its step loop: platform
+// construction, policy attachment, observability arming and collector setup.
+func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, error) {
 	if cfg.RecordIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: RecordIntervalS must be positive, got %g", cfg.RecordIntervalS)
 	}
 	initSimMetrics()
-	l := &laneState{cfg: cfg, work: work, policy: policy}
+	r := &runState{cfg: cfg, work: work, policy: policy}
 	if cfg.Tracer != nil {
-		l.runSpan = cfg.Tracer.Start(cfg.TraceParent, telemetry.KindRun,
+		r.runSpan = cfg.Tracer.Start(cfg.TraceParent, telemetry.KindRun,
 			policy.Name()+"/"+work.Name(),
 			telemetry.Str("policy", policy.Name()),
 			telemetry.Str("workload", work.Name()))
 	}
-	if st != nil {
-		l.p = platform.NewWithStepper(cfg.Platform, work, st)
-	} else {
-		l.p = platform.New(cfg.Platform, work)
-	}
-	if err := policy.Attach(l.p); err != nil {
-		return nil, l.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
+	r.p = platform.New(cfg.Platform, work)
+	if err := policy.Attach(r.p); err != nil {
+		return nil, r.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}
 	if cfg.Recorder != nil {
 		if ra, ok := policy.(RecorderAttacher); ok {
@@ -255,128 +237,123 @@ func newLane(cfg RunConfig, work workload.Workload, policy Policy, st thermal.St
 	}
 	if cfg.Tracer != nil {
 		if ta, ok := policy.(TracerAttacher); ok {
-			ta.AttachTracer(cfg.Tracer, l.runSpan)
+			ta.AttachTracer(cfg.Tracer, r.runSpan)
 		}
 	}
 	if cfg.LearningObserver != nil {
 		if la, ok := policy.(LearningAttacher); ok {
-			l.learn = rl.NewLearningSampler(0)
-			la.AttachLearningSampler(l.learn)
+			r.learn = rl.NewLearningSampler(0)
+			la.AttachLearningSampler(r.learn)
 		}
 	}
-	l.guard = newRunGuard(cfg, policy.Name()+"/"+work.Name())
-	l.windows = newWindowAgg(cfg, l.runSpan)
+	r.guard = newRunGuard(cfg, policy.Name()+"/"+work.Name())
+	r.windows = newWindowAgg(cfg, r.runSpan)
 	if cfg.DiscardTrace {
-		l.sc = newScalarCollector(cfg, l.p.NumCores())
+		r.sc = newScalarCollector(cfg, r.p.NumCores())
 	} else {
 		// Pre-size the series so the recording loop never grows a slice
 		// mid-run. The estimate is the serialized-at-lowest-frequency upper
 		// bound on execution time, clamped to the runaway limit; in the rare
 		// case a run outlasts it, append simply grows.
 		capacity := traceCapacity(cfg, work)
-		l.mt = trace.NewMultiTraceCap(l.p.NumCores(), cfg.RecordIntervalS, capacity)
-		l.pt = trace.NewMultiTraceCap(l.p.NumCores(), cfg.RecordIntervalS, capacity)
-		if l.learn != nil {
+		r.mt = trace.NewMultiTraceCap(r.p.NumCores(), cfg.RecordIntervalS, capacity)
+		r.pt = trace.NewMultiTraceCap(r.p.NumCores(), cfg.RecordIntervalS, capacity)
+		if r.learn != nil {
 			if _, ok := policy.(DecisionInfoProvider); ok {
-				l.at = newScalarCollector(cfg, l.p.NumCores())
+				r.at = newScalarCollector(cfg, r.p.NumCores())
 			}
 		}
 	}
-	if l.learn != nil {
+	if r.learn != nil {
 		if dp, ok := policy.(DecisionInfoProvider); ok {
-			feed := l.sc
+			feed := r.sc
 			if feed == nil {
-				feed = l.at
+				feed = r.at
 			}
 			if feed != nil {
-				armAttribution(feed.accs, dp, l.learn)
+				armAttribution(feed.accs, dp, r.learn)
 			}
 		}
 	}
-	return l, nil
+	return r, nil
 }
 
 // fail ends the run span with the error and returns it.
-func (l *laneState) fail(err error) error {
-	if l.cfg.Tracer != nil {
-		l.cfg.Tracer.End(l.runSpan, telemetry.Str("error", err.Error()))
+func (r *runState) fail(err error) error {
+	if r.cfg.Tracer != nil {
+		r.cfg.Tracer.End(r.runSpan, telemetry.Str("error", err.Error()))
 	}
 	return err
 }
 
-// preStep runs one loop iteration up to and including p.Step(): the
-// completion and runaway checks, oracle-trace recording when due, then the
-// platform step. done reports workload completion (finish may be called); a
-// non-nil error means the lane failed (pass it through fail).
-func (l *laneState) preStep() (done bool, err error) {
-	p, cfg := l.p, &l.cfg
+// step runs one loop iteration: the completion and runaway checks, oracle
+// trace recording when due, the platform step, then the policy tick on the
+// post-step platform. done reports workload completion (finish may be
+// called); a non-nil error means the run failed (pass it through fail).
+func (r *runState) step() (done bool, err error) {
+	p, cfg := r.p, &r.cfg
 	if p.Done() {
 		return true, nil
 	}
 	if p.Now() >= cfg.MaxSimS {
 		return false, fmt.Errorf("sim: %s on %s exceeded max sim time %g s (completed %.1f%% of work)",
-			l.policy.Name(), l.work.Name(), cfg.MaxSimS, 100*l.work.CompletedWork()/l.work.TotalWork())
+			r.policy.Name(), r.work.Name(), cfg.MaxSimS, 100*r.work.CompletedWork()/r.work.TotalWork())
 	}
-	if p.Now()+1e-9 >= l.nextRecord {
+	if p.Now()+1e-9 >= r.nextRecord {
 		temps := p.Temperatures()
 		power := p.CorePower()
-		if l.sc != nil {
-			l.sc.push(temps)
+		if r.sc != nil {
+			r.sc.push(temps)
 		} else {
-			l.mt.Append(temps)
-			l.pt.Append(power)
-			if l.at != nil {
-				l.at.push(temps)
+			r.mt.Append(temps)
+			r.pt.Append(power)
+			if r.at != nil {
+				r.at.push(temps)
 			}
 		}
-		if l.guard != nil {
-			l.guard.sample(p.Now(), temps)
+		if r.guard != nil {
+			r.guard.sample(p.Now(), temps)
 		}
-		if l.windows != nil {
-			l.windows.sample(p.Now(), temps, power)
+		if r.windows != nil {
+			r.windows.sample(p.Now(), temps, power)
 		}
-		l.nextRecord += cfg.RecordIntervalS
+		r.nextRecord += cfg.RecordIntervalS
 	}
 	p.Step()
+	r.policy.Tick(p)
+	r.steps++
 	return false, nil
 }
 
-// postStep completes the loop iteration after the thermal state advanced:
-// the policy observes the post-step platform and the step is accounted.
-func (l *laneState) postStep() {
-	l.policy.Tick(l.p)
-	l.steps++
-}
-
-// finish runs Run's epilogue on a completed lane and returns the result.
-func (l *laneState) finish() *Result {
-	cfg, p := &l.cfg, l.p
-	mSteps.Add(l.steps)
-	if l.windows != nil {
-		l.windows.flush(p.Now())
+// finish runs Run's epilogue on a completed run and returns the result.
+func (r *runState) finish() *Result {
+	cfg, p := &r.cfg, r.p
+	mSteps.Add(r.steps)
+	if r.windows != nil {
+		r.windows.flush(p.Now())
 	}
 	if cfg.AgentObserver != nil {
-		if ap, ok := l.policy.(AgentProvider); ok {
+		if ap, ok := r.policy.(AgentProvider); ok {
 			if a := ap.LearningAgent(); a != nil {
 				cfg.AgentObserver(a)
 			}
 		}
 	}
-	if l.at != nil {
+	if r.at != nil {
 		// Flush the attribution feed's residual half cycles (attributed to
 		// the final decision, the one still in force when the run ended).
-		l.at.drain(*cfg)
+		r.at.drain(*cfg)
 	}
-	res := collect(*cfg, p, l.mt, l.pt, l.sc, l.policy.Name(), l.work.Name())
-	if l.learn != nil {
-		l.learn.Finalize()
-		cfg.LearningObserver(l.policy.Name(), l.work.Name(), l.learn)
+	res := collect(*cfg, p, r.mt, r.pt, r.sc, r.policy.Name(), r.work.Name())
+	if r.learn != nil {
+		r.learn.Finalize()
+		cfg.LearningObserver(r.policy.Name(), r.work.Name(), r.learn)
 	}
-	if l.guard != nil {
-		l.guard.finals(res)
+	if r.guard != nil {
+		r.guard.finals(res)
 	}
 	if cfg.Tracer != nil {
-		cfg.Tracer.End(l.runSpan,
+		cfg.Tracer.End(r.runSpan,
 			telemetry.Num("exec_time_s", res.ExecTimeS),
 			telemetry.Num("peak_c", res.PeakTempC),
 			telemetry.Num("avg_c", res.AvgTempC),

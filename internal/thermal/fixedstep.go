@@ -57,30 +57,17 @@ type FixedStepper struct {
 	// ab[2*n*i : 2*n*(i+1)], the first n entries being A's row (applied to
 	// the temperature vector) and the next n being B's row (applied to the
 	// power vector), so one step streams through the matrix memory linearly.
-	// The backing may be shared read-only with other steppers of the same
-	// (network, dt) configuration (see fixedUpdate).
 	ab []float64
-	// c is the constant ambient-injection vector (shared like ab).
+	// c is the constant ambient-injection vector.
 	c []float64
 	// temps is the state; next is the step scratch.
 	temps, next []float64
 }
 
-// fixedUpdate is the precomputed constant-dt linear map T' = A*T + B*P + c of
-// one (Network, dt) configuration. It is immutable after construction, so any
-// number of steppers (and batch lanes) may share one instance concurrently;
-// sharedUpdate dedupes construction behind a keyed cache so identical
-// configurations pay the O(n^3) factorization once.
-type fixedUpdate struct {
-	n       int
-	dt      float64
-	ambient float64
-	ab      []float64
-	c       []float64
-}
-
-// newFixedUpdate factors the system matrix and materializes A, B and c.
-func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
+// NewFixedStepper factors the system matrix and materializes the
+// precomputed constant-dt update A, B and c for the network. It returns an
+// error for a non-positive dt or a singular system matrix.
+func NewFixedStepper(net *Network, dt float64) (*FixedStepper, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("thermal: fixed stepper: dt must be positive, got %g", dt)
 	}
@@ -92,12 +79,14 @@ func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &fixedUpdate{
-		n:       n,
-		dt:      dt,
-		ambient: net.Ambient(),
-		ab:      make([]float64, 2*n*n),
-		c:       make([]float64, n),
+	s := &FixedStepper{
+		net:   net,
+		dt:    dt,
+		n:     n,
+		ab:    make([]float64, 2*n*n),
+		c:     make([]float64, n),
+		temps: make([]float64, n),
+		next:  make([]float64, n),
 	}
 	// Column j of B is M^-1 e_j; column j of A is (C_j/dt) * that column.
 	e := make([]float64, n)
@@ -108,38 +97,15 @@ func newFixedUpdate(net *Network, dt float64) (*fixedUpdate, error) {
 		e[j] = 0
 		cj := net.nodes[j].Capacitance / dt
 		for i := 0; i < n; i++ {
-			u.ab[2*n*i+j] = cj * col[i] // A
-			u.ab[2*n*i+n+j] = col[i]    // B
+			s.ab[2*n*i+j] = cj * col[i] // A
+			s.ab[2*n*i+n+j] = col[i]    // B
 		}
 	}
 	// c = M^-1 * (Gamb_i * Tamb).
 	for i := 0; i < n; i++ {
 		e[i] = net.nodes[i].AmbientConductance * net.Ambient()
 	}
-	f.solve(u.c, e)
-	return u, nil
-}
-
-// NewFixedStepper builds the precomputed constant-dt update for the network.
-// It returns an error for a non-positive dt or a singular system matrix.
-// Steppers built for value-identical (network, dt) configurations share one
-// precomputed matrix set through the factorization cache, so a thousand
-// identical-floorplan runs factor once and stream the same memory.
-func NewFixedStepper(net *Network, dt float64) (*FixedStepper, error) {
-	u, err := sharedUpdate(net, dt)
-	if err != nil {
-		return nil, err
-	}
-	n := u.n
-	s := &FixedStepper{
-		net:   net,
-		dt:    dt,
-		n:     n,
-		ab:    u.ab,
-		c:     u.c,
-		temps: make([]float64, n),
-		next:  make([]float64, n),
-	}
+	f.solve(s.c, e)
 	s.Reset()
 	return s, nil
 }
