@@ -41,11 +41,16 @@
 // a deterministic CSV file with -leaderboard-csv. The identical document
 // submitted to thermserved's POST /v1/campaigns produces bit-identical
 // rows and leaderboard.
+//
+// Exit status is 2 for a command-line mistake and 1 for any other failure,
+// including a failing cell: every cell still runs, and the error names each
+// failed one.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,51 +68,81 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run reduced sweeps (fast smoke mode)")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
-	repeats := flag.Int("repeats", 0, "seed repeats for learning-sensitive sweeps (0 = default)")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	eventsOut := flag.String("events", "", "write the RL decision-event trace as JSONL to this file (\"-\" = stderr)")
-	traceOut := flag.String("trace", "", "write the run/window/epoch span trace to this file (.jsonl = archival JSONL, anything else = Chrome trace-event JSON for Perfetto)")
-	saveAgent := flag.String("save-agent", "", "write the RL agent state of the last proposed-policy run to this file")
-	loadAgent := flag.String("load-agent", "", "warm-start runs from policy checkpoint state in this file")
-	campaignFile := flag.String("campaign", "", "run the declarative tournament in this experiments.json document instead of paper experiments")
-	leaderboardCSV := flag.String("leaderboard-csv", "", "with -campaign: also write the leaderboard as deterministic CSV to this file")
-	learningCSV := flag.String("learning-csv", "", "write every learning policy's per-epoch learning curve as deterministic CSV to this file")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-quick] [-repeats N] [-events FILE] <experiment>...|all\n", os.Args[0])
-		fmt.Fprintf(os.Stderr, "       %s -campaign experiments.json [-leaderboard-csv FILE]\n", os.Args[0])
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", experiments.ExperimentNames())
-		flag.PrintDefaults()
+	// Experiments and campaigns abort between cells on ^C instead of
+	// finishing a potentially hour-long sweep.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "thermsim:", err)
+		os.Exit(1)
 	}
-	flag.Parse()
+}
+
+// errUsage reports a command-line mistake that run has already described on
+// stderr; main exits with status 2 for it and 1 for any other error.
+var errUsage = errors.New("usage error")
+
+// run is the whole command: it parses args, runs the requested experiments
+// (or the -campaign tournament) under ctx, writes results to stdout and
+// diagnostics to stderr, then writes the requested side files.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("thermsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced sweeps (fast smoke mode)")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON rows instead of tables")
+	repeats := fs.Int("repeats", 0, "seed repeats for learning-sensitive sweeps (0 = default)")
+	list := fs.Bool("list", false, "list available experiments and exit")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
+	eventsOut := fs.String("events", "", "write the RL decision-event trace as JSONL to this file (\"-\" = stderr)")
+	traceOut := fs.String("trace", "", "write the run/window/epoch span trace to this file (.jsonl = archival JSONL, anything else = Chrome trace-event JSON for Perfetto)")
+	saveAgent := fs.String("save-agent", "", "write the RL agent state of the last proposed-policy run to this file")
+	loadAgent := fs.String("load-agent", "", "warm-start runs from policy checkpoint state in this file")
+	campaignFile := fs.String("campaign", "", "run the declarative tournament in this experiments.json document instead of paper experiments")
+	leaderboardCSV := fs.String("leaderboard-csv", "", "with -campaign: also write the leaderboard as deterministic CSV to this file")
+	learningCSV := fs.String("learning-csv", "", "write every learning policy's per-epoch learning curve as deterministic CSV to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s [-quick] [-repeats N] [-events FILE] <experiment>...|all\n", fs.Name())
+		fmt.Fprintf(stderr, "       %s -campaign experiments.json [-leaderboard-csv FILE]\n", fs.Name())
+		fmt.Fprintf(stderr, "experiments: %v\n", experiments.ExperimentNames())
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage // the flag set has printed the error and the usage
+	}
 
 	level, err := telemetry.ParseLevel(*logLevel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "thermsim:", err)
+		return errUsage
 	}
-	slog.SetDefault(telemetry.NewLogger(os.Stderr, level))
+	slog.SetDefault(telemetry.NewLogger(stderr, level))
 
 	if *list {
 		for _, id := range experiments.ExperimentNames() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	}
-	ids := flag.Args()
+	ids := fs.Args()
 	if *campaignFile == "" {
 		if len(ids) == 0 {
-			flag.Usage()
-			os.Exit(2)
+			fs.Usage()
+			return errUsage
 		}
 		if len(ids) == 1 && ids[0] == "all" {
 			ids = experiments.ExperimentNames()
 		}
 	} else if len(ids) > 0 {
-		fmt.Fprintln(os.Stderr, "thermsim: -campaign replaces the positional experiment list")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "thermsim: -campaign replaces the positional experiment list")
+		return errUsage
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -138,8 +173,7 @@ func main() {
 	if *loadAgent != "" {
 		payload, err := os.ReadFile(*loadAgent)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: -load-agent:", err)
-			os.Exit(1)
+			return fmt.Errorf("-load-agent: %w", err)
 		}
 		// ApplyWarmPayload routes the checkpoint by kind, with typed
 		// dimension validation for the proposed controller's tables.
@@ -148,8 +182,7 @@ func main() {
 			warmFor = campaign.Experiment
 		}
 		if err := campaign.ApplyWarmPayload(&cfg, warmFor, payload); err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: -load-agent:", err)
-			os.Exit(1)
+			return fmt.Errorf("-load-agent: %w", err)
 		}
 	}
 	var lastAgent *rl.Agent
@@ -157,229 +190,169 @@ func main() {
 		cfg.Run.AgentObserver = func(a *rl.Agent) { lastAgent = a }
 	}
 
-	// Campaign-shaped experiments abort between cells on ^C instead of
-	// finishing a potentially hour-long sweep.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	if *campaignFile != "" {
+	switch {
+	case *campaignFile != "":
 		doc, err := os.ReadFile(*campaignFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: -campaign:", err)
-			os.Exit(1)
+			return fmt.Errorf("-campaign: %w", err)
 		}
 		cfg.CampaignJSON = doc
-		runCampaign(ctx, cfg, *asJSON, *leaderboardCSV)
-		dumpEvents(recorder, *eventsOut)
-		dumpTrace(tracer, *traceOut)
-		dumpLearning(curves, *learningCSV)
-		saveAgentFile(lastAgent, *saveAgent)
-		return
+		err = runCampaign(ctx, cfg, *asJSON, *leaderboardCSV, stdout)
+	case *asJSON:
+		err = runJSON(ctx, cfg, ids, stdout)
+	default:
+		err = runText(ctx, cfg, ids, stdout)
 	}
-
-	if *asJSON {
-		all := map[string]any{}
-		for _, id := range ids {
-			rows, err := experiments.RunRowsCtx(ctx, cfg, id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", id, err)
-				os.Exit(1)
-			}
-			all[id] = rows
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim:", err)
-			os.Exit(1)
-		}
-		dumpEvents(recorder, *eventsOut)
-		dumpTrace(tracer, *traceOut)
-		dumpLearning(curves, *learningCSV)
-		saveAgentFile(lastAgent, *saveAgent)
-		return
+	if err != nil {
+		return err
 	}
+	if err := dumpEvents(recorder, *eventsOut, stderr); err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	if err := dumpTrace(tracer, *traceOut, stderr); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if curves != nil {
+		if err := writeFile(*learningCSV, curves.WriteCSV); err != nil {
+			return fmt.Errorf("-learning-csv: %w", err)
+		}
+	}
+	if *saveAgent != "" {
+		// A run list with no proposed-policy run leaves nothing to save;
+		// that is an error so scripts notice.
+		if lastAgent == nil {
+			return errors.New("-save-agent: no proposed-policy run produced an agent")
+		}
+		if err := writeFile(*saveAgent, lastAgent.Save); err != nil {
+			return fmt.Errorf("-save-agent: %w", err)
+		}
+	}
+	return nil
+}
 
+// runJSON runs the experiments and prints their rows as one JSON object
+// keyed by experiment id.
+func runJSON(ctx context.Context, cfg experiments.Config, ids []string, stdout io.Writer) error {
+	all := map[string]any{}
+	for _, id := range ids {
+		rows, err := experiments.RunRowsCtx(ctx, cfg, id)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		all[id] = rows
+	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", " ")
+	return enc.Encode(all)
+}
+
+// runText runs the experiments and prints each formatted report.
+func runText(ctx context.Context, cfg experiments.Config, ids []string, stdout io.Writer) error {
 	for _, id := range ids {
 		start := time.Now()
 		out, err := experiments.RunCtx(ctx, cfg, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Printf("=== %s (completed in %v) ===\n%s\n", id, time.Since(start).Round(time.Millisecond), out)
+		fmt.Fprintf(stdout, "=== %s (completed in %v) ===\n%s\n", id, time.Since(start).Round(time.Millisecond), out)
 	}
-	dumpEvents(recorder, *eventsOut)
-	dumpTrace(tracer, *traceOut)
-	dumpLearning(curves, *learningCSV)
-	saveAgentFile(lastAgent, *saveAgent)
+	return nil
 }
 
 // runCampaign expands the tournament document on cfg.CampaignJSON, runs its
-// cells sequentially and prints the per-policy leaderboard: aligned text (or
-// -json), plus a deterministic CSV surface when csvPath is set. The rows are
-// bit-identical to the same document submitted to thermserved, standalone or
-// clustered — that equivalence is what makes the CSV comparable across runs.
-func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPath string) {
+// cells through the sequential executor and prints the per-policy
+// leaderboard: aligned text (or -json), plus a deterministic CSV surface when
+// csvPath is set. The rows are bit-identical to the same document submitted
+// to thermserved, standalone or clustered — that equivalence is what makes
+// the CSV comparable across runs.
+func runCampaign(ctx context.Context, cfg experiments.Config, asJSON bool, csvPath string, stdout io.Writer) error {
 	spec, err := campaign.ParseSpec(cfg.CampaignJSON)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim:", err)
-		os.Exit(1)
+		return err
 	}
 	cells, assemble, err := campaign.Cells(cfg, campaign.Experiment)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim:", err)
-		os.Exit(1)
+		return err
 	}
-	rows := make([]any, len(cells))
-	for i, cell := range cells {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: interrupted after %d/%d cells\n", i, len(cells))
-			os.Exit(1)
-		}
-		start := time.Now()
-		row, err := cell.Run(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "thermsim: %s: %v\n", cell.Key, err)
-			os.Exit(1)
-		}
-		rows[i] = row
-		slog.Info("cell done", "cell", cell.Key, "n", i+1, "of", len(cells),
-			"wall", time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	rows, err := experiments.RunCells(ctx, cells, assemble)
+	if err != nil {
+		return err
 	}
-	trows := assemble(rows).([]campaign.Row)
+	slog.Info("campaign done", "cells", len(cells), "wall", time.Since(start).Round(time.Millisecond))
+	trows := rows.([]campaign.Row)
 	entries := campaign.Leaderboard(trows)
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", " ")
-		if err := enc.Encode(map[string]any{
-			"name": spec.Name, "leaderboard": entries, "rows": trows,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim:", err)
-			os.Exit(1)
+		if err := enc.Encode(map[string]any{"name": spec.Name, "leaderboard": entries, "rows": trows}); err != nil {
+			return err
 		}
 	} else {
-		fmt.Print(campaign.FormatLeaderboard(spec.Name, entries))
+		fmt.Fprint(stdout, campaign.FormatLeaderboard(spec.Name, entries))
 	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: -leaderboard-csv:", err)
-			os.Exit(1)
-		}
-		err = campaign.WriteCSV(f, entries)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: -leaderboard-csv:", err)
-			os.Exit(1)
-		}
+	if csvPath == "" {
+		return nil
 	}
+	err = writeFile(csvPath, func(w io.Writer) error { return campaign.WriteCSV(w, entries) })
+	if err != nil {
+		return fmt.Errorf("-leaderboard-csv: %w", err)
+	}
+	return nil
 }
 
-// saveAgentFile persists the last proposed-policy run's agent for
-// -save-agent. A run list with no proposed-policy run leaves nothing to
-// save; that is reported as an error so scripts notice.
-func saveAgentFile(a *rl.Agent, path string) {
-	if path == "" {
-		return
-	}
-	if a == nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -save-agent: no proposed-policy run produced an agent")
-		os.Exit(1)
-	}
+// writeFile creates path and fills it with write, reporting the first error
+// of the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -save-agent:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := a.Save(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, "thermsim: -save-agent:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -save-agent:", err)
-		os.Exit(1)
-	}
-}
-
-// dumpLearning writes the sampled learning curves as one deterministic CSV
-// for -learning-csv. Runs that sampled nothing (deterministic baselines) are
-// simply absent; a run list with no learner yields a header-only file.
-func dumpLearning(curves *rl.CurveSet, path string) {
-	if curves == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -learning-csv:", err)
-		os.Exit(1)
-	}
-	err = curves.WriteCSV(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -learning-csv:", err)
-		os.Exit(1)
-	}
+	return err
 }
 
 // dumpEvents writes the recorded decision trace as JSONL to path ("-" means
 // stderr, keeping stdout clean for -json rows).
-func dumpEvents(rec *telemetry.Recorder, path string) {
+func dumpEvents(rec *telemetry.Recorder, path string, stderr io.Writer) error {
 	if rec == nil {
-		return
+		return nil
 	}
-	var w io.Writer
+	var err error
 	if path == "-" {
-		w = os.Stderr
+		err = rec.WriteJSONL(stderr)
 	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "thermsim: events:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+		err = writeFile(path, rec.WriteJSONL)
 	}
-	if err := rec.WriteJSONL(w); err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: events:", err)
-		os.Exit(1)
+	if err != nil {
+		return err
 	}
 	if n := rec.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "thermsim: events: ring buffer dropped the oldest %d events (kept %d)\n", n, rec.Len())
+		fmt.Fprintf(stderr, "thermsim: events: ring buffer dropped the oldest %d events (kept %d)\n", n, rec.Len())
 	}
+	return nil
 }
 
 // dumpTrace writes the collected span trace to path: a .jsonl suffix selects
 // the archival one-span-per-line form, anything else the Chrome trace-event
 // JSON that chrome://tracing and Perfetto open directly.
-func dumpTrace(tr *telemetry.Tracer, path string) {
+func dumpTrace(tr *telemetry.Tracer, path string, stderr io.Writer) error {
 	if tr == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: trace:", err)
-		os.Exit(1)
+		return nil
 	}
 	spans := tr.Snapshot()
+	write := func(w io.Writer) error { return telemetry.WriteChromeTrace(w, spans) }
 	if strings.HasSuffix(path, ".jsonl") {
-		err = telemetry.WriteSpansJSONL(f, spans)
-	} else {
-		err = telemetry.WriteChromeTrace(f, spans)
+		write = func(w io.Writer) error { return telemetry.WriteSpansJSONL(w, spans) }
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: trace:", err)
-		os.Exit(1)
+	if err := writeFile(path, write); err != nil {
+		return err
 	}
 	if n := tr.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "thermsim: trace: span ring dropped the oldest %d spans (kept %d)\n", n, tr.Len())
+		fmt.Fprintf(stderr, "thermsim: trace: span ring dropped the oldest %d spans (kept %d)\n", n, tr.Len())
 	}
+	return nil
 }

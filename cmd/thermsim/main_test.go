@@ -1,0 +1,96 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/experiments"
+)
+
+// TestJSONSuiteMatchesSequential: `-quick -json suite` prints exactly the
+// rows of the sequential suite runner on the same config.
+func TestJSONSuiteMatchesSequential(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-json", "suite"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	var got map[string][]experiments.SuiteRow
+	if err := json.Unmarshal(stdout.Bytes(), &got); err != nil {
+		t.Fatalf("decode output: %v\n%s", err, stdout.String())
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.Quick = true
+	want, err := experiments.Suite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got["suite"], want) {
+		t.Errorf("CLI rows differ from experiments.Suite:\n%+v\n%+v", got["suite"], want)
+	}
+}
+
+// TestCampaignLeaderboardCSVMatchesSequential: -leaderboard-csv writes the
+// bytes campaign.WriteCSV produces over the leaderboard of the example
+// tournament's cells run in order.
+func TestCampaignLeaderboardCSVMatchesSequential(t *testing.T) {
+	docPath := filepath.Join("..", "..", "examples", "tournament", "experiments.json")
+	csvPath := filepath.Join(t.TempDir(), "leaderboard.csv")
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-campaign", docPath, "-leaderboard-csv", csvPath}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	got, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := os.ReadFile(docPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.CampaignJSON = doc
+	cells, assemble, err := campaign.Cells(cfg, campaign.Experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]any, len(cells))
+	for i, c := range cells {
+		if rows[i], err = c.Run(context.Background()); err != nil {
+			t.Fatalf("%s: %v", c.Key, err)
+		}
+	}
+	var want bytes.Buffer
+	if err := campaign.WriteCSV(&want, campaign.Leaderboard(assemble(rows).([]campaign.Row))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("leaderboard CSV differs from the sequential rows':\n%s\n%s", got, want.Bytes())
+	}
+}
+
+// TestUsageErrors: command-line mistakes come back as errUsage (exit status
+// 2) before anything runs.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-no-such-flag", "fig6"},
+		{"-log-level", "loud", "fig6"},
+		{"-campaign", "experiments.json", "fig6"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), args, &stdout, &stderr); !errors.Is(err, errUsage) {
+			t.Errorf("%q: err = %v, want errUsage", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: wrote to stdout: %s", args, stdout.String())
+		}
+	}
+}

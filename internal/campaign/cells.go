@@ -11,7 +11,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rl"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -54,7 +53,7 @@ type Row struct {
 // carried on cfg.CampaignJSON, every other experiment delegates to
 // experiments.Cells. Installing it on the pool — and using it in the cluster
 // worker's executor — is all it takes for the same spec to run standalone,
-// pooled, or sharded.
+// pooled, or sharded. DecodeCellRow is its counterpart for cell rows.
 func Cells(cfg experiments.Config, id string) ([]experiments.Cell, experiments.Assemble, error) {
 	if id != Experiment {
 		return experiments.Cells(cfg, id)
@@ -66,42 +65,33 @@ func Cells(cfg experiments.Config, id string) ([]experiments.Cell, experiments.A
 	plan := spec.plan()
 	cells := make([]experiments.Cell, len(plan))
 	for i, c := range plan {
-		c := c
-		cells[i] = experiments.Cell{
-			Key: fmt.Sprintf("tournament/%s/%s/s%d/r%d", c.Policy, c.Workload, c.Seed, c.Repeat),
-			Run: func(ctx context.Context) (any, error) { return runCell(traceCfg(ctx, cfg), spec, c) },
-			Prepare: func(ctx context.Context) (sim.BatchRun, experiments.FinishCell, error) {
-				return prepareCell(traceCfg(ctx, cfg), spec, c)
-			},
-		}
+		key := fmt.Sprintf("tournament/%s/%s/s%d/r%d", c.Policy, c.Workload, c.Seed, c.Repeat)
+		cells[i] = experiments.SimCell(key, func(ctx context.Context) (sim.BatchRun, experiments.FinishCell, error) {
+			return prepareCell(experiments.TracedConfig(ctx, cfg), spec, c)
+		})
 	}
-	assemble := func(rows []any) any {
-		out := make([]Row, 0, len(rows))
-		for _, r := range rows {
-			if r != nil {
-				out = append(out, r.(Row))
-			}
-		}
-		return out
-	}
-	return cells, assemble, nil
+	return cells, experiments.AssembleAs[Row], nil
 }
 
-// traceCfg threads a span carried on ctx (the service's per-cell span) into
-// the simulation config, mirroring the experiments package's planner.
-func traceCfg(ctx context.Context, cfg experiments.Config) experiments.Config {
-	if tr, span := telemetry.SpanFromContext(ctx); tr != nil {
-		cfg.Run.Tracer = tr
-		cfg.Run.TraceParent = span
+// DecodeCellRow rebuilds one cell's typed row of experiment id from its JSON
+// serialization, the counterpart of Cells: a tournament cell decodes into a
+// Row, every other experiment through experiments.DecodeCellRow. Journal
+// recovery and the cluster coordinator both decode through it.
+func DecodeCellRow(id string, data []byte) (any, error) {
+	if id != Experiment {
+		return experiments.DecodeCellRow(id, data)
 	}
-	return cfg
+	var r Row
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("campaign: decode row: %w", err)
+	}
+	return r, nil
 }
 
 // prepareCell splits one tournament cell into its simulation and row mapper:
 // instantiate the registered policy with the cell's derived seed (and the
 // resolved warm-start checkpoint, if its kind belongs to the policy), arm
-// learning-curve sampling, and return the row collector. runCell executes
-// exactly this pair.
+// learning-curve sampling, and return the row collector.
 func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, experiments.FinishCell, error) {
 	var ckpt *policy.Checkpoint
 	if len(cfg.WarmCheckpoint) > 0 {
@@ -156,24 +146,6 @@ func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, 
 	return sim.BatchRun{Cfg: rc, Work: work, Policy: pol}, finish, nil
 }
 
-// runCell executes one tournament cell scalar: the prepare/finish pair
-// around a single sim.Run.
-func runCell(cfg experiments.Config, spec *Spec, c cellPlan) (Row, error) {
-	br, finish, err := prepareCell(cfg, spec, c)
-	if err != nil {
-		return Row{}, err
-	}
-	res, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return Row{}, err
-	}
-	row, err := finish(res)
-	if err != nil {
-		return Row{}, err
-	}
-	return row.(Row), nil
-}
-
 // parseWorkload resolves a spec workload name: a single application or a
 // "-"-joined application sequence.
 func parseWorkload(name string, ds workload.DataSet) (workload.Workload, error) {
@@ -194,17 +166,6 @@ func parseWorkload(name string, ds workload.DataSet) (workload.Workload, error) 
 		apps = append(apps, app)
 	}
 	return workload.NewSequence(apps...), nil
-}
-
-// DecodeRow rebuilds one tournament cell's Row from its JSON serialization,
-// the tournament counterpart of experiments.DecodeCellRow for journal
-// recovery.
-func DecodeRow(data []byte) (any, error) {
-	var r Row
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("campaign: decode row: %w", err)
-	}
-	return r, nil
 }
 
 // ApplyWarmPayload threads a resolved warm-start checkpoint payload into an

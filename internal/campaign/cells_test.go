@@ -94,7 +94,7 @@ func TestRowJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRow(data)
+	got, err := DecodeCellRow(Experiment, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 				tracer.End(dispatchSpan, telemetry.Str("error", res.Err))
 				return nil, wid, errors.New(res.Err)
 			}
-			row, err := decodeRemoteRow(spec, res.Row)
+			row, err := campaign.DecodeCellRow(spec.Experiment, res.Row)
 			commitUS := time.Since(commitStart).Microseconds()
 			c.commitSeconds.Observe(float64(commitUS) / 1e6)
 			tracer.End(dispatchSpan)
@@ -247,16 +247,6 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 			return nil, "", ctx.Err()
 		}
 	}
-}
-
-// decodeRemoteRow rebuilds the typed row a worker streamed back: tournament
-// cells decode through the campaign engine, everything else through the
-// experiment registry — the same split the journal recovery path uses.
-func decodeRemoteRow(spec service.Spec, data json.RawMessage) (any, error) {
-	if spec.Experiment == campaign.Experiment {
-		return campaign.DecodeRow(data)
-	}
-	return experiments.DecodeCellRow(spec.Experiment, data)
 }
 
 // warmPayload resolves a spec's warm_start checkpoint to its raw payload, so

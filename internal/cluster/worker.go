@@ -356,10 +356,10 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 
 // run executes one assignment and posts its completion. When the assignment
 // carries a TraceContext, the cell runs under a per-assignment tracer rooted
-// at an exec span — experiments.Cells picks the (tracer, span) pair off the
-// context, so run/window/epoch spans nest under it automatically — and the
-// completed batch ships back on the completion, timestamps pre-shifted into
-// the coordinator's clock.
+// at an exec span — experiments.TracedConfig picks the (tracer, span) pair
+// off the context, so run/window/epoch spans nest under it automatically —
+// and the completed batch ships back on the completion, timestamps
+// pre-shifted into the coordinator's clock.
 func (w *Worker) run(req AssignRequest) {
 	defer w.wg.Done()
 	var (

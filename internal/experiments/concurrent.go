@@ -57,92 +57,55 @@ func buildMix(a, b string) (*workload.Concurrent, error) {
 	return workload.NewConcurrent(appA, appB), nil
 }
 
-// concurrentCell identifies one independently runnable (mix, policy) unit
-// of the concurrent-application campaign.
-type concurrentCell struct {
-	Mix    [2]string
-	Policy string
-}
-
-// concurrentCells enumerates the campaign's cells in table order.
-func concurrentCells(cfg Config) []concurrentCell {
+// concurrentCells plans one cell per (mix, policy), in table order.
+func concurrentCells(cfg Config) []Cell {
 	mixes := concurrentMixes
 	if cfg.Quick {
 		mixes = mixes[:1]
 	}
-	cells := make([]concurrentCell, 0, len(mixes)*len(table2Policies))
+	cells := make([]Cell, 0, len(mixes)*len(table2Policies))
 	for _, mix := range mixes {
 		for _, pol := range table2Policies {
-			cells = append(cells, concurrentCell{Mix: mix, Policy: pol})
+			key := fmt.Sprintf("concurrent/%s+%s/%s", mix[0], mix[1], pol)
+			cells = append(cells, SimCell(key, func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
+				con, err := buildMix(mix[0], mix[1])
+				if err != nil {
+					return sim.BatchRun{}, nil, err
+				}
+				p, err := newPolicy(cfg, pol)
+				if err != nil {
+					return sim.BatchRun{}, nil, err
+				}
+				// Rows need only scalars; stream them without the trace.
+				rc := TracedConfig(ctx, cfg).Run
+				rc.DiscardTrace = true
+				finish := func(r *sim.Result) (any, error) {
+					return ConcurrentRow{
+						Mix:          con.Name(),
+						Policy:       pol,
+						AvgTempC:     r.AvgTempC,
+						PeakTempC:    r.PeakTempC,
+						CyclingMTTF:  r.CyclingMTTF,
+						AgingMTTF:    r.AgingMTTF,
+						CombinedMTTF: r.CombinedMTTF,
+						ExecTimeS:    r.ExecTimeS,
+					}, nil
+				}
+				return sim.BatchRun{Cfg: rc, Work: con, Policy: p}, finish, nil
+			}))
 		}
 	}
 	return cells
 }
 
-// prepareConcurrentCell splits one concurrent cell into its simulation and
-// row mapper, the prepared form of runConcurrentCell.
-func prepareConcurrentCell(cfg Config, c concurrentCell) (sim.BatchRun, FinishCell, error) {
-	con, err := buildMix(c.Mix[0], c.Mix[1])
-	if err != nil {
-		return sim.BatchRun{}, nil, err
-	}
-	p, err := newPolicy(cfg, c.Policy)
-	if err != nil {
-		return sim.BatchRun{}, nil, err
-	}
-	// Rows need only scalars; stream them without the trace.
-	rc := cfg.Run
-	rc.DiscardTrace = true
-	finish := func(r *sim.Result) (any, error) {
-		return ConcurrentRow{
-			Mix:          con.Name(),
-			Policy:       c.Policy,
-			AvgTempC:     r.AvgTempC,
-			PeakTempC:    r.PeakTempC,
-			CyclingMTTF:  r.CyclingMTTF,
-			AgingMTTF:    r.AgingMTTF,
-			CombinedMTTF: r.CombinedMTTF,
-			ExecTimeS:    r.ExecTimeS,
-		}, nil
-	}
-	return sim.BatchRun{Cfg: rc, Work: con, Policy: p}, finish, nil
-}
-
-// runConcurrentCell executes one cell of the concurrent campaign.
-func runConcurrentCell(cfg Config, c concurrentCell) (ConcurrentRow, error) {
-	br, finish, err := prepareConcurrentCell(cfg, c)
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return ConcurrentRow{}, fmt.Errorf("concurrent %s/%s: %w", br.Work.Name(), c.Policy, err)
-	}
-	row, err := finish(r)
-	if err != nil {
-		return ConcurrentRow{}, err
-	}
-	return row.(ConcurrentRow), nil
-}
-
 // Concurrent evaluates the paper's first future-work extension: two
 // applications co-scheduled on the chip, with 12 threads contending for the
-// four cores, under the three policies. Cancellation via ctx stops between
+// four cores, under the three policies. It is the sequential reference for
+// the study's cells, with RunCells' semantics: a failing cell leaves the
+// surviving rows next to the joined errors, and cancellation stops between
 // cells.
 func Concurrent(ctx context.Context, cfg Config) ([]ConcurrentRow, error) {
-	plan := concurrentCells(cfg)
-	rows := make([]ConcurrentRow, 0, len(plan))
-	for _, c := range plan {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		row, err := runConcurrentCell(cfg, c)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runAs[ConcurrentRow](ctx, concurrentCells(cfg))
 }
 
 // FormatConcurrent renders the concurrent-application table.

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6) on the simulated platform. Each experiment has a
 // function returning typed rows plus a Format helper that prints the same
-// layout the paper reports. The cmd/thermsim binary and the repository's
-// benchmarks are thin wrappers over this package.
+// layout the paper reports, and one entry in the experiment registry
+// (registry.go) that plans its cells. The cmd/thermsim binary and the
+// repository's benchmarks are thin wrappers over this package.
 package experiments
 
 import (
@@ -172,6 +173,16 @@ func runApp(cfg Config, appName string, ds workload.DataSet, policy string) (*si
 	return sim.Run(br.Cfg, br.Work, br.Policy)
 }
 
+// appCell is the single-simulation cell of one (application, data set,
+// policy) run; row maps the run's result to the cell's row.
+func appCell(cfg Config, key, app string, ds workload.DataSet, policy string, row func(*sim.Result) any) Cell {
+	return SimCell(key, func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
+		br, err := prepareApp(TracedConfig(ctx, cfg), app, ds, policy)
+		finish := func(r *sim.Result) (any, error) { return row(r), nil }
+		return br, finish, err
+	})
+}
+
 // scenarioApps parses "mpegdec-tachyon-mpegenc" into its applications.
 func scenarioApps(scenario string, ds workload.DataSet) (*workload.Sequence, error) {
 	parts := strings.Split(scenario, "-")
@@ -184,170 +195,6 @@ func scenarioApps(scenario string, ds workload.DataSet) (*workload.Sequence, err
 		apps = append(apps, app)
 	}
 	return workload.NewSequence(apps...), nil
-}
-
-// Names of all experiments, in paper order, followed by the repository's
-// ablation study.
-func ExperimentNames() []string {
-	return []string{"fig1", "table2", "fig3", "fig45", "fig6", "fig7", "fig8", "table3", "fig9", "ablation", "seeds", "manycore", "noise", "suite", "concurrent", "library"}
-}
-
-// Run executes an experiment by id and returns its formatted report.
-// Sequential callers that never cancel use this wrapper; long-running
-// services pass a cancellable context to RunCtx instead.
-func Run(cfg Config, id string) (string, error) {
-	return RunCtx(context.Background(), cfg, id)
-}
-
-// RunCtx executes an experiment by id under ctx and returns its formatted
-// report. Campaign-shaped experiments (suite, table2, seeds, concurrent)
-// observe cancellation between cells; the remaining single-shot experiments
-// run to completion.
-func RunCtx(ctx context.Context, cfg Config, id string) (string, error) {
-	switch id {
-	case "fig1":
-		r, err := Fig1(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig1(r), nil
-	case "table2":
-		r, err := Table2(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable2(r), nil
-	case "fig3":
-		r, err := Fig3(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig3(r), nil
-	case "fig45":
-		r, err := Fig45(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig45(r), nil
-	case "fig6":
-		r, err := Fig6(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig6(r), nil
-	case "fig7":
-		r, err := Fig7(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig7(r), nil
-	case "fig8":
-		r, err := Fig8(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig8(r), nil
-	case "table3":
-		r, err := PerfEnergyGrid(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable3(r), nil
-	case "fig9":
-		r, err := PerfEnergyGrid(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatFig9(r), nil
-	case "ablation":
-		r, err := Ablation(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatAblation(r), nil
-	case "seeds":
-		r, err := SeedStudy(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatSeedStudy(r), nil
-	case "manycore":
-		r, err := Manycore(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatManycore(r), nil
-	case "noise":
-		r, err := NoiseStudy(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatNoiseStudy(r), nil
-	case "suite":
-		r, err := Suite(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatSuite(r), nil
-	case "concurrent":
-		r, err := Concurrent(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatConcurrent(r), nil
-	case "library":
-		r, err := LibraryStudy(cfg)
-		if err != nil {
-			return "", err
-		}
-		return FormatLibraryStudy(r), nil
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, ExperimentNames())
-	}
-}
-
-// RunRows executes an experiment by id and returns its typed row data (for
-// machine-readable output); Table 3 and Fig. 9 share the PerfEnergyGrid rows.
-func RunRows(cfg Config, id string) (any, error) {
-	return RunRowsCtx(context.Background(), cfg, id)
-}
-
-// RunRowsCtx is RunRows under a cancellable context.
-func RunRowsCtx(ctx context.Context, cfg Config, id string) (any, error) {
-	switch id {
-	case "fig1":
-		return Fig1(cfg)
-	case "table2":
-		return Table2(ctx, cfg)
-	case "fig3":
-		return Fig3(cfg)
-	case "fig45":
-		return Fig45(cfg)
-	case "fig6":
-		return Fig6(cfg)
-	case "fig7":
-		return Fig7(cfg)
-	case "fig8":
-		return Fig8(cfg)
-	case "table3", "fig9":
-		return PerfEnergyGrid(cfg)
-	case "ablation":
-		return Ablation(cfg)
-	case "seeds":
-		return SeedStudy(ctx, cfg)
-	case "manycore":
-		return Manycore(cfg)
-	case "noise":
-		return NoiseStudy(cfg)
-	case "suite":
-		return Suite(ctx, cfg)
-	case "concurrent":
-		return Concurrent(ctx, cfg)
-	case "library":
-		return LibraryStudy(cfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, ExperimentNames())
-	}
 }
 
 // tableWriter builds an aligned text table.

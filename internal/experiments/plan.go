@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -14,7 +14,8 @@ import (
 // order or concurrently; assembling their outputs in cell order reproduces
 // the sequential runner's rows bit for bit.
 type Cell struct {
-	// Key labels the cell for progress reporting and error messages.
+	// Key labels the cell for progress reporting, error messages and trace
+	// spans.
 	Key string
 	// Run executes the cell. The returned row's concrete type depends on
 	// the experiment (SuiteRow, Table2Cell, ...).
@@ -23,22 +24,44 @@ type Cell struct {
 	// finish step mapping the Result to the cell's row, letting a caller
 	// drive the simulation itself (a profiler, a hand-driven replay). Run
 	// remains the complete path and routes through the same prepare/finish
-	// pair, so rows are bit-identical either way. Cells whose work is not a
-	// single simulation (seed studies, single-shot figure experiments)
-	// leave Prepare nil.
+	// pair (see SimCell), so rows are bit-identical either way. Cells whose
+	// work is not a single simulation (seed studies, single-shot figure
+	// experiments) leave Prepare nil.
 	Prepare func(ctx context.Context) (sim.BatchRun, FinishCell, error)
 }
 
 // FinishCell maps a completed simulation to the cell's row.
 type FinishCell func(*sim.Result) (any, error)
 
+// SimCell builds the cell whose work is one simulation: Run is prepare →
+// sim.Run → finish, and Prepare is prepare itself. Every error Run returns
+// names the cell's key.
+func SimCell(key string, prepare func(ctx context.Context) (sim.BatchRun, FinishCell, error)) Cell {
+	run := func(ctx context.Context) (any, error) {
+		br, finish, err := prepare(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", key, err)
+		}
+		res, err := sim.Run(br.Cfg, br.Work, br.Policy)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", key, err)
+		}
+		row, err := finish(res)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", key, err)
+		}
+		return row, nil
+	}
+	return Cell{Key: key, Run: run, Prepare: prepare}
+}
+
 // Assemble merges per-cell outputs, given in cell order, into the
-// experiment's row type. Nil entries (skipped or failed cells) are dropped,
-// mirroring the sequential wrap-and-continue behaviour of Suite.
+// experiment's row type. Nil entries (skipped or failed cells) are dropped.
 type Assemble func(rows []any) any
 
-// assembleAs builds an Assemble that collects non-nil cell outputs of type T.
-func assembleAs[T any](rows []any) any {
+// AssembleAs is the Assemble of an experiment whose cells each produce one
+// T: it collects the non-nil outputs into a []T.
+func AssembleAs[T any](rows []any) any {
 	out := make([]T, 0, len(rows))
 	for _, r := range rows {
 		if r != nil {
@@ -48,90 +71,44 @@ func assembleAs[T any](rows []any) any {
 	return out
 }
 
-// traceCfg threads a span carried on ctx (the service's per-cell span) into
-// the simulation config, so runs executed by this cell nest under it.
-func traceCfg(ctx context.Context, cfg Config) Config {
+// RunCells is the sequential executor: it runs cells in order and assembles
+// their outputs. A failing cell does not stop the others; its error joins
+// the returned error and the surviving rows are assembled without it.
+// Cancellation of ctx stops between cells, and the rows assembled so far
+// come back with ctx's error joined in. A cell that fails because ctx was
+// cancelled counts as skipped, not failed — the job pool's semantics.
+func RunCells(ctx context.Context, cells []Cell, assemble Assemble) (any, error) {
+	rows := make([]any, len(cells))
+	var errs []error
+	for i, c := range cells {
+		if ctx.Err() != nil {
+			break
+		}
+		row, err := c.Run(ctx)
+		switch {
+		case err == nil:
+			rows[i] = row
+		case ctx.Err() == nil:
+			errs = append(errs, err)
+		}
+	}
+	return assemble(rows), errors.Join(append(errs, ctx.Err())...)
+}
+
+// runAs runs a fan-out experiment's cells through RunCells and returns its
+// rows typed.
+func runAs[T any](ctx context.Context, cells []Cell) ([]T, error) {
+	rows, err := RunCells(ctx, cells, AssembleAs[T])
+	return rows.([]T), err
+}
+
+// TracedConfig threads a span carried on ctx (the service's per-cell span,
+// a cluster worker's exec span) into the simulation config, so runs a cell
+// executes nest under it. Without a span on ctx it returns cfg unchanged.
+func TracedConfig(ctx context.Context, cfg Config) Config {
 	if tr, span := telemetry.SpanFromContext(ctx); tr != nil {
 		cfg.Run.Tracer = tr
 		cfg.Run.TraceParent = span
 	}
 	return cfg
-}
-
-// Cells decomposes experiment id under cfg into independently runnable
-// cells plus the assembler that merges their outputs. Campaign-shaped
-// experiments fan out per cell — suite and table2 per (app, policy) run,
-// concurrent per (mix, policy), seeds per application — while the remaining
-// single-shot experiments are one cell executing RunRowsCtx.
-func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
-	switch id {
-	case "suite":
-		plan := suiteCells(cfg)
-		cells := make([]Cell, len(plan))
-		for i, c := range plan {
-			c := c
-			cells[i] = Cell{
-				Key: fmt.Sprintf("suite/%s/%s", c.App, c.Policy),
-				Run: func(ctx context.Context) (any, error) { return runSuiteCell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareSuiteCell(traceCfg(ctx, cfg), c)
-				},
-			}
-		}
-		return cells, assembleAs[SuiteRow], nil
-	case "table2":
-		plan := table2Cells(cfg)
-		cells := make([]Cell, len(plan))
-		for i, c := range plan {
-			c := c
-			cells[i] = Cell{
-				Key: fmt.Sprintf("table2/%s/%v/%s", c.App, c.DataSet, c.Policy),
-				Run: func(ctx context.Context) (any, error) { return runTable2Cell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareTable2Cell(traceCfg(ctx, cfg), c)
-				},
-			}
-		}
-		return cells, assembleAs[Table2Cell], nil
-	case "seeds":
-		apps, seeds := seedStudyApps(cfg)
-		cells := make([]Cell, len(apps))
-		for i, app := range apps {
-			app := app
-			cells[i] = Cell{
-				Key: "seeds/" + app,
-				Run: func(ctx context.Context) (any, error) { return runSeedStudyCell(ctx, traceCfg(ctx, cfg), app, seeds) },
-			}
-		}
-		return cells, assembleAs[SeedStudyRow], nil
-	case "concurrent":
-		plan := concurrentCells(cfg)
-		cells := make([]Cell, len(plan))
-		for i, c := range plan {
-			c := c
-			cells[i] = Cell{
-				Key: fmt.Sprintf("concurrent/%s+%s/%s", c.Mix[0], c.Mix[1], c.Policy),
-				Run: func(ctx context.Context) (any, error) { return runConcurrentCell(traceCfg(ctx, cfg), c) },
-				Prepare: func(ctx context.Context) (sim.BatchRun, FinishCell, error) {
-					return prepareConcurrentCell(traceCfg(ctx, cfg), c)
-				},
-			}
-		}
-		return cells, assembleAs[ConcurrentRow], nil
-	default:
-		if !slices.Contains(ExperimentNames(), id) {
-			return nil, nil, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, ExperimentNames())
-		}
-		cell := Cell{
-			Key: id,
-			Run: func(ctx context.Context) (any, error) { return RunRowsCtx(ctx, traceCfg(ctx, cfg), id) },
-		}
-		assemble := func(rows []any) any {
-			if len(rows) == 1 && rows[0] != nil {
-				return rows[0]
-			}
-			return nil
-		}
-		return []Cell{cell}, assemble, nil
-	}
 }

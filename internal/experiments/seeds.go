@@ -42,22 +42,27 @@ type SeedStudyRow struct {
 	CyclingMTTF, AgingMTTF, AvgTempC SeedStat
 }
 
-// seedStudyApps enumerates the campaign's per-application cells and the
-// seed count; one application (baseline plus all its seeds) is one
-// independently runnable cell.
-func seedStudyApps(cfg Config) (apps []string, seeds int) {
-	apps = []string{"tachyon", "mpeg_dec"}
-	seeds = 8
+// seedCells plans one cell per application: its Linux baseline plus the
+// proposed controller under every seed.
+func seedCells(cfg Config) []Cell {
+	apps := []string{"tachyon", "mpeg_dec"}
+	seeds := 8
 	if cfg.Quick {
-		apps = apps[:1]
-		seeds = 3
+		apps, seeds = apps[:1], 3
 	}
-	return apps, seeds
+	cells := make([]Cell, len(apps))
+	for i, app := range apps {
+		cells[i] = Cell{Key: "seeds/" + app, Run: func(ctx context.Context) (any, error) {
+			return seedStudyRow(ctx, TracedConfig(ctx, cfg), app, seeds)
+		}}
+	}
+	return cells
 }
 
-// runSeedStudyCell executes the baseline and the full seed sweep for one
-// application. Cancellation via ctx stops between seed runs.
-func runSeedStudyCell(ctx context.Context, cfg Config, appName string, seeds int) (SeedStudyRow, error) {
+// seedStudyRow measures one application's row: its Linux baseline and the
+// proposed controller under every seed. Cancellation via ctx stops between
+// seed runs.
+func seedStudyRow(ctx context.Context, cfg Config, appName string, seeds int) (SeedStudyRow, error) {
 	lin, err := runApp(cfg, appName, workload.Set1, PolicyLinuxOndemand)
 	if err != nil {
 		return SeedStudyRow{}, err
@@ -101,22 +106,11 @@ func runSeedStudyCell(ctx context.Context, cfg Config, appName string, seeds int
 // RL trajectory: the proposed controller runs under several action-selection
 // seeds and the spread of its lifetime metrics is reported against the
 // deterministic Linux baseline. This is the robustness analysis the paper
-// (like most DAC-length papers) omits. Cancellation via ctx stops between
-// individual seed runs.
+// (like most DAC-length papers) omits. It is the sequential reference for
+// the study's cells, with RunCells' semantics; within a cell, cancellation
+// stops between individual seed runs.
 func SeedStudy(ctx context.Context, cfg Config) ([]SeedStudyRow, error) {
-	apps, seeds := seedStudyApps(cfg)
-	var rows []SeedStudyRow
-	for _, appName := range apps {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		row, err := runSeedStudyCell(ctx, cfg, appName, seeds)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runAs[SeedStudyRow](ctx, seedCells(cfg))
 }
 
 // FormatSeedStudy renders the robustness table.

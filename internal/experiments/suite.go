@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -26,88 +25,41 @@ type SuiteRow struct {
 // paper's three policies.
 var suitePolicies = []string{PolicyLinuxOndemand, PolicyThrottle, PolicyGe, PolicyProposed}
 
-// suiteCell identifies one independently runnable (app, policy) unit of the
-// suite campaign. Cells share nothing — each builds a fresh workload and
-// policy — so the pooled and sequential paths produce identical numbers.
-type suiteCell struct {
-	App, Policy string
-}
-
-// suiteCells enumerates the campaign's cells in table order.
-func suiteCells(cfg Config) []suiteCell {
+// suiteCells plans one cell per (application, policy), in table order.
+func suiteCells(cfg Config) []Cell {
 	apps := workload.AppNames()
 	if cfg.Quick {
 		apps = []string{"face_rec", "sphinx"}
 	}
-	cells := make([]suiteCell, 0, len(apps)*len(suitePolicies))
+	cells := make([]Cell, 0, len(apps)*len(suitePolicies))
 	for _, app := range apps {
 		for _, pol := range suitePolicies {
-			cells = append(cells, suiteCell{App: app, Policy: pol})
+			key := fmt.Sprintf("suite/%s/%s", app, pol)
+			cells = append(cells, appCell(cfg, key, app, workload.Set1, pol, func(r *sim.Result) any {
+				return SuiteRow{
+					App:          app,
+					Policy:       pol,
+					AvgTempC:     r.AvgTempC,
+					PeakTempC:    r.PeakTempC,
+					CyclingMTTF:  r.CyclingMTTF,
+					AgingMTTF:    r.AgingMTTF,
+					CombinedMTTF: r.CombinedMTTF,
+					ExecTimeS:    r.ExecTimeS,
+				}
+			}))
 		}
 	}
 	return cells
 }
 
-// prepareSuiteCell splits one suite cell into its simulation and row mapper,
-// the prepared form of runSuiteCell.
-func prepareSuiteCell(cfg Config, c suiteCell) (sim.BatchRun, FinishCell, error) {
-	br, err := prepareApp(cfg, c.App, workload.Set1, c.Policy)
-	if err != nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("suite %s/%s: %w", c.App, c.Policy, err)
-	}
-	finish := func(r *sim.Result) (any, error) {
-		return SuiteRow{
-			App:          c.App,
-			Policy:       c.Policy,
-			AvgTempC:     r.AvgTempC,
-			PeakTempC:    r.PeakTempC,
-			CyclingMTTF:  r.CyclingMTTF,
-			AgingMTTF:    r.AgingMTTF,
-			CombinedMTTF: r.CombinedMTTF,
-			ExecTimeS:    r.ExecTimeS,
-		}, nil
-	}
-	return br, finish, nil
-}
-
-// runSuiteCell executes one cell of the suite campaign.
-func runSuiteCell(cfg Config, c suiteCell) (SuiteRow, error) {
-	br, finish, err := prepareSuiteCell(cfg, c)
-	if err != nil {
-		return SuiteRow{}, err
-	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return SuiteRow{}, fmt.Errorf("suite %s/%s: %w", c.App, c.Policy, err)
-	}
-	row, err := finish(r)
-	if err != nil {
-		return SuiteRow{}, err
-	}
-	return row.(SuiteRow), nil
-}
-
 // Suite runs every ALPBench application (data set 1) under four policies —
 // the paper's three plus a reactive thermal-throttling baseline — extending
 // Table 2's three applications to the full five-app suite and adding the
-// SOFR-combined lifetime. A failing cell no longer aborts the campaign: the
-// surviving rows are returned together with the joined per-cell errors.
-// Cancellation via ctx stops between cells and returns the partial rows.
+// SOFR-combined lifetime. It is the sequential reference for the suite's
+// cells, with RunCells' semantics: a failing cell leaves the surviving rows
+// next to the joined errors, and cancellation stops between cells.
 func Suite(ctx context.Context, cfg Config) ([]SuiteRow, error) {
-	var rows []SuiteRow
-	var errs []error
-	for _, c := range suiteCells(cfg) {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		row, err := runSuiteCell(cfg, c)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		rows = append(rows, row)
-	}
-	return rows, errors.Join(errs...)
+	return runAs[SuiteRow](ctx, suiteCells(cfg))
 }
 
 // FormatSuite renders the full-suite table.

@@ -27,88 +27,44 @@ var table2Policies = []string{PolicyLinuxOndemand, PolicyGe, PolicyProposed}
 // table2Apps are the three applications of Table 2.
 var table2Apps = []string{"tachyon", "mpeg_dec", "mpeg_enc"}
 
-// table2Cell identifies one independently runnable (app, data set, policy)
-// unit of the Table 2 campaign.
-type table2Cell struct {
-	App     string
-	DataSet workload.DataSet
-	Policy  string
-}
-
-// table2Cells enumerates the campaign's cells in table order.
-func table2Cells(cfg Config) []table2Cell {
+// table2Cells plans one cell per (application, data set, policy), in table
+// order.
+func table2Cells(cfg Config) []Cell {
 	sets := []workload.DataSet{workload.Set1, workload.Set2, workload.Set3}
 	if cfg.Quick {
 		sets = sets[:1]
 	}
-	cells := make([]table2Cell, 0, len(table2Apps)*len(sets)*len(table2Policies))
+	cells := make([]Cell, 0, len(table2Apps)*len(sets)*len(table2Policies))
 	for _, app := range table2Apps {
 		for _, ds := range sets {
 			for _, pol := range table2Policies {
-				cells = append(cells, table2Cell{App: app, DataSet: ds, Policy: pol})
+				key := fmt.Sprintf("table2/%s/%v/%s", app, ds, pol)
+				cells = append(cells, appCell(cfg, key, app, ds, pol, func(r *sim.Result) any {
+					return Table2Cell{
+						App:         app,
+						DataSet:     ds,
+						Policy:      pol,
+						AvgTempC:    r.AvgTempC,
+						PeakTempC:   r.PeakTempC,
+						CyclingMTTF: r.CyclingMTTF,
+						AgingMTTF:   r.AgingMTTF,
+						ExecTimeS:   r.ExecTimeS,
+					}
+				}))
 			}
 		}
 	}
 	return cells
 }
 
-// prepareTable2Cell splits one Table 2 cell into its simulation and row
-// mapper, the prepared form of runTable2Cell.
-func prepareTable2Cell(cfg Config, c table2Cell) (sim.BatchRun, FinishCell, error) {
-	br, err := prepareApp(cfg, c.App, c.DataSet, c.Policy)
-	if err != nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("table2 %s/%v/%s: %w", c.App, c.DataSet, c.Policy, err)
-	}
-	finish := func(r *sim.Result) (any, error) {
-		return Table2Cell{
-			App:         c.App,
-			DataSet:     c.DataSet,
-			Policy:      c.Policy,
-			AvgTempC:    r.AvgTempC,
-			PeakTempC:   r.PeakTempC,
-			CyclingMTTF: r.CyclingMTTF,
-			AgingMTTF:   r.AgingMTTF,
-			ExecTimeS:   r.ExecTimeS,
-		}, nil
-	}
-	return br, finish, nil
-}
-
-// runTable2Cell executes one cell of the Table 2 campaign.
-func runTable2Cell(cfg Config, c table2Cell) (Table2Cell, error) {
-	br, finish, err := prepareTable2Cell(cfg, c)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	r, err := sim.Run(br.Cfg, br.Work, br.Policy)
-	if err != nil {
-		return Table2Cell{}, fmt.Errorf("table2 %s/%v/%s: %w", c.App, c.DataSet, c.Policy, err)
-	}
-	row, err := finish(r)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	return row.(Table2Cell), nil
-}
-
 // Table2 reproduces the intra-application evaluation: average temperature,
 // peak temperature and MTTF due to thermal cycling and aging for three
 // applications x three data sets x {Linux ondemand, Ge et al. [7], Proposed}.
-// Cancellation via ctx stops between cells.
+// It is the sequential reference for Table 2's cells, with RunCells'
+// semantics: a failing cell leaves the surviving rows next to the joined
+// errors, and cancellation stops between cells.
 func Table2(ctx context.Context, cfg Config) ([]Table2Cell, error) {
-	plan := table2Cells(cfg)
-	cells := make([]Table2Cell, 0, len(plan))
-	for _, c := range plan {
-		if err := ctx.Err(); err != nil {
-			return cells, err
-		}
-		cell, err := runTable2Cell(cfg, c)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runAs[Table2Cell](ctx, table2Cells(cfg))
 }
 
 // FormatTable2 renders the paper's Table 2 layout: one row per

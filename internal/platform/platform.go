@@ -39,10 +39,6 @@ const (
 	// by the fixed TickS, so the whole update collapses to two dense matvecs
 	// with zero per-step allocation — the fast path for long campaigns.
 	SolverFixed SolverKind = iota
-	// SolverEuler is the explicit forward-Euler reference integrator.
-	SolverEuler
-	// SolverRK4 is the fourth-order Runge-Kutta reference integrator.
-	SolverRK4
 	// SolverImplicit is the backward-Euler reference (LU solve per step);
 	// SolverFixed matches it to rounding error at the same TickS.
 	SolverImplicit
@@ -53,10 +49,6 @@ func (k SolverKind) String() string {
 	switch k {
 	case SolverFixed:
 		return "fixed"
-	case SolverEuler:
-		return "euler"
-	case SolverRK4:
-		return "rk4"
 	case SolverImplicit:
 		return "implicit"
 	default:
@@ -69,8 +61,8 @@ type Config struct {
 	// TickS is the simulation time step in seconds.
 	TickS float64
 	// Solver selects the thermal integrator; the zero value is the
-	// precomputed constant-dt fast path (SolverFixed). The reference
-	// integrators remain available for validation runs.
+	// precomputed constant-dt fast path (SolverFixed). The backward-Euler
+	// reference (SolverImplicit) remains available for validation runs.
 	Solver SolverKind
 	// Floorplan configures the thermal network.
 	Floorplan thermal.FloorplanConfig
@@ -279,27 +271,18 @@ func build(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 // newStepper builds the configured thermal integrator. The fixed stepper is
 // precomputed for the platform tick, the only step size Step ever uses.
 func newStepper(cfg Config, net *thermal.Network) thermal.Stepper {
-	switch cfg.Solver {
-	case SolverEuler:
-		return thermal.NewSolver(net, thermal.Euler)
-	case SolverRK4:
-		return thermal.NewSolver(net, thermal.RK4)
-	case SolverImplicit:
+	if cfg.Solver == SolverImplicit {
 		return thermal.NewImplicitSolver(net)
-	default:
-		s, err := thermal.NewFixedStepper(net, cfg.TickS)
-		if err != nil {
-			panic(fmt.Sprintf("platform: %v", err)) // TickS validated above; floorplans are never singular
-		}
-		return s
 	}
+	s, err := thermal.NewFixedStepper(net, cfg.TickS)
+	if err != nil {
+		panic(fmt.Sprintf("platform: %v", err)) // TickS validated above; floorplans are never singular
+	}
+	return s
 }
 
 // NumCores returns the core count.
 func (p *Platform) NumCores() int { return p.fp.NumCores() }
-
-// SolverKind returns the configured thermal integrator kind.
-func (p *Platform) SolverKind() SolverKind { return p.cfg.Solver }
 
 // Levels returns the DVFS level table.
 func (p *Platform) Levels() []power.Level { return p.cfg.Levels }

@@ -151,13 +151,7 @@ func (p *Pool) decodeCells(spec Spec, js *durable.JobState) ([]any, []error) {
 			errs[idx] = errors.New(cs.Err)
 			continue
 		}
-		var row any
-		var err error
-		if spec.Experiment == campaign.Experiment {
-			row, err = campaign.DecodeRow(cs.Row)
-		} else {
-			row, err = experiments.DecodeCellRow(spec.Experiment, cs.Row)
-		}
+		row, err := campaign.DecodeCellRow(spec.Experiment, cs.Row)
 		if err != nil {
 			p.log.Warn("journaled cell row undecodable, will re-run", "job", js.ID, "cell", idx, "err", err)
 			continue

@@ -419,22 +419,18 @@ func (p *Pool) finishCell(jr *jobRun, idx int, row any, ranBy string, err error,
 }
 
 // finalize assembles the job's rows in cell order and commits the terminal
-// state: cancelled if its context was cut, failed if any cell errored, done
-// otherwise. Partial rows survive alongside the joined errors. The job span
-// ends and the archives are written before the store publishes the terminal
-// state, so a job that reads as finished has all of them in place.
+// state: cancelled if its context was cut or cancellation was requested,
+// failed if any cell errored, done otherwise. Partial rows survive alongside
+// the joined errors. The store latches the state first, so a DELETE landing
+// mid-finalize cannot change it; the job span ends with it and the archives
+// are written before the store publishes it, so a job that reads as
+// finished has all of them in place.
 func (p *Pool) finalize(jr *jobRun) {
 	defer jr.cancel()
 	rows := jr.assemble(jr.rows)
 	err := errors.Join(jr.errs...)
 	cancelled := jr.ctx.Err() != nil
-	state := StateDone
-	switch {
-	case cancelled:
-		state = StateCancelled
-	case err != nil:
-		state = StateFailed
-	}
+	state := p.store.Latch(jr.id, err, cancelled)
 	jr.tracer.End(jr.jobSpan, telemetry.Str("state", string(state)))
 	p.archiveTrace(jr)
 	p.archiveLearning(jr)

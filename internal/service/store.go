@@ -29,6 +29,10 @@ type record struct {
 	// cancelRequested remembers a DELETE while the job was still running,
 	// so the finalizer lands on cancelled rather than failed.
 	cancelRequested bool
+	// latched is the terminal state the finalizer committed to (Latch);
+	// empty until then. Once set, Cancel no longer changes the outcome and
+	// Finish commits exactly this state.
+	latched State
 	// events is the job's bounded decision-event recorder; bound by the
 	// pool at submission, drained by the events endpoint.
 	events *telemetry.Recorder
@@ -346,11 +350,46 @@ func (s *Store) CellDone(id string, idx int, row any, cellErr error, worker stri
 	s.journalLocked(rec)
 }
 
-// Finish moves a job into its terminal state: cancelled if cancellation was
-// requested (or runErr wraps context.Canceled via the pool), failed if any
-// cell errored, done otherwise. rows may carry partial results alongside an
-// error. Finishing an already-terminal job (a cancelled-while-pending job
-// being finalized by the pool) is a no-op that still records any rows.
+// Latch decides job id's terminal state once, under the store lock, and
+// returns it: cancelled if cancellation was requested (or cancelled is set),
+// failed if runErr is non-nil, done otherwise. A job that is already
+// terminal or latched keeps its state. From the latch on, Cancel treats the
+// job as terminal, so the state the pool records on the job span and in the
+// archives before calling Finish is the state Finish commits.
+func (s *Store) Latch(id string, runErr error, cancelled bool) State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.jobs[id]
+	if !ok {
+		// Nothing to latch on an unknown job: decide from the arguments.
+		rec = &record{}
+	}
+	return latchLocked(rec, runErr, cancelled)
+}
+
+// latchLocked is Latch for a held lock.
+func latchLocked(rec *record, runErr error, cancelled bool) State {
+	if rec.job.State.Terminal() {
+		return rec.job.State
+	}
+	if rec.latched == "" {
+		switch {
+		case cancelled || rec.cancelRequested:
+			rec.latched = StateCancelled
+		case runErr != nil:
+			rec.latched = StateFailed
+		default:
+			rec.latched = StateDone
+		}
+	}
+	return rec.latched
+}
+
+// Finish moves a job into its terminal state: the state Latch decided, or
+// — when nothing latched it — the state Latch would decide now. rows may
+// carry partial results alongside an error. Finishing an already-terminal
+// job (a cancelled-while-pending job being finalized by the pool) is a
+// no-op that still records any rows.
 func (s *Store) Finish(id string, rows any, runErr error, cancelled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,18 +403,13 @@ func (s *Store) Finish(id string, rows any, runErr error, cancelled bool) {
 	if rec.job.State.Terminal() {
 		return
 	}
-	next := StateDone
-	switch {
-	case cancelled || rec.cancelRequested:
-		next = StateCancelled
-	case runErr != nil:
-		next = StateFailed
-	}
-	s.finalizeLocked(rec, next, runErr)
+	s.finalizeLocked(rec, latchLocked(rec, runErr, cancelled), runErr)
 }
 
 // Cancel requests cancellation. A pending job is cancelled on the spot; a
-// running job is cancelled by the pool once its in-flight cells unwind. The
+// running job is cancelled by the pool once its in-flight cells unwind. A
+// job whose terminal state is already latched is past cancelling: like a
+// terminal job, it is returned unchanged and nothing is journaled. The
 // returned snapshot reflects the post-call state.
 func (s *Store) Cancel(id string) (Job, error) {
 	s.mu.Lock()
@@ -384,7 +418,7 @@ func (s *Store) Cancel(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("service: cancel of unknown job %s", id)
 	}
-	if rec.job.State.Terminal() {
+	if rec.job.State.Terminal() || rec.latched != "" {
 		return rec.job, nil
 	}
 	rec.cancelRequested = true

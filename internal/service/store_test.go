@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // fakeClock drives a store's time by hand.
@@ -119,5 +121,54 @@ func TestStoreTTLEviction(t *testing.T) {
 	}
 	if len(s.List()) != 1 {
 		t.Errorf("List should show the surviving job, got %d", len(s.List()))
+	}
+}
+
+// memJournal keeps every appended record in memory.
+type memJournal struct{ recs []durable.Record }
+
+func (m *memJournal) Append(rec durable.Record) error {
+	m.recs = append(m.recs, rec)
+	return nil
+}
+
+// TestStoreLatchedStateSurvivesCancel drives the finalize/DELETE race by
+// hand: once the pool latches a job's terminal state (and records it on the
+// job span), a DELETE no longer changes or journals anything, and Finish
+// commits the latched state. A DELETE before the latch still wins.
+func TestStoreLatchedStateSurvivesCancel(t *testing.T) {
+	s, _ := newTestStore(time.Hour)
+	j := &memJournal{}
+	s.SetJournal(j)
+
+	job := s.Create(Spec{Experiment: "suite"}, 1)
+	s.Start(job.ID)
+	latched := s.Latch(job.ID, nil, false)
+	if latched != StateDone {
+		t.Fatalf("latched %s, want %s", latched, StateDone)
+	}
+	afterLatch := len(j.recs)
+	if snap, err := s.Cancel(job.ID); err != nil || snap.State != StateRunning {
+		t.Fatalf("cancel after latch: %+v, %v; want the running snapshot unchanged", snap, err)
+	}
+	s.Finish(job.ID, []int{1}, nil, false)
+	if got, _ := s.Get(job.ID); got.State != latched {
+		t.Errorf("finished %s, latched %s", got.State, latched)
+	}
+	for _, rec := range j.recs[afterLatch:] {
+		if rec.Kind == durable.KindCancel {
+			t.Errorf("cancel journaled after the latch: %+v", rec)
+		}
+	}
+
+	early := s.Create(Spec{Experiment: "suite"}, 1)
+	s.Start(early.ID)
+	s.Cancel(early.ID)
+	if got := s.Latch(early.ID, nil, false); got != StateCancelled {
+		t.Errorf("cancel before the latch: latched %s, want %s", got, StateCancelled)
+	}
+	s.Finish(early.ID, nil, nil, false)
+	if got, _ := s.Get(early.ID); got.State != StateCancelled {
+		t.Errorf("cancel before the latch: finished %s, want %s", got.State, StateCancelled)
 	}
 }

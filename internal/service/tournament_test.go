@@ -117,7 +117,7 @@ func TestTournamentEndToEnd(t *testing.T) {
 }
 
 // TestTournamentJournalRecovery: a finished tournament replays from the
-// journal as a terminal snapshot whose rows decode through campaign.DecodeRow,
+// journal as a terminal snapshot whose rows decode through campaign.DecodeCellRow,
 // so the leaderboard survives a restart byte-for-byte.
 func TestTournamentJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
