@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race stress perfbench-check recover-test cluster-test cluster-obs-test tournament-test learning-test bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
+.PHONY: all build fmt-check vet test race stress perfbench-check bench bench-smoke bench-compare bench-compare-smoke bench-dispatch-gate bench-distilled-gate bench-learning-gate ci
 
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
@@ -41,40 +41,6 @@ stress:
 # broken benchmark.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-
-# Multi-node suite under the race detector: sharded dispatch, lease expiry
-# and reassignment, heartbeat failure detection, kill-mid-job bit-identity,
-# and saturation backpressure through the public API.
-cluster-test:
-	$(GO) test -race ./internal/cluster
-
-# Observability-plane suite under the race detector: the in-process
-# coordinator + multi-worker harness asserting cross-node span-batch merge
-# (one trace, correct parent/child linkage), federated per-worker metrics on
-# /metrics, the cluster status/live surfaces, drain-flush accounting, and the
-# cluster flight-recorder storm triggers.
-cluster-obs-test:
-	$(GO) test -race -run 'TestClusterMergedTrace|TestFederatedMetrics|TestClusterStatus|TestClusterLive|TestWorkerDrainFlushesSpans|TestWorkerKillDiscardsSpans|TestClusterRecorder|TestHeartbeatClockOffset' ./internal/cluster
-
-# Crash-recovery suite under the race detector: WAL torn-tail truncation at
-# every byte offset, kill-and-restart resume, checkpoint warm starts.
-recover-test:
-	$(GO) test -race -run 'TestWAL|TestJournal|TestCheckpoint|TestRecovery|TestCrashRestart|TestJournaled|TestWarmStart' ./internal/durable ./internal/service
-
-# Tournament suite under the race detector: campaign-spec golden errors,
-# two-run and standalone-vs-sharded leaderboard bit-identity, the full
-# POST /v1/campaigns → leaderboard HTTP flow, and journal recovery of
-# finished tournaments.
-tournament-test:
-	$(GO) test -race -run 'TestTournament|TestParseSpec|TestPlanExpansion|TestLeaderboard|TestApplyWarmPayload' ./internal/campaign ./internal/service ./internal/cluster
-
-# Learning-observability suite under the race detector: sampler convergence
-# edge cases and the disabled-path zero-alloc guarantee, the
-# sampling-is-observation-only bit-identity checks at the sim layer, the
-# leaderboard tie-break, the /v1/jobs/{id}/learning HTTP flow on fig45, and
-# the durable curve archive.
-learning-test:
-	$(GO) test -race -run 'TestLearning|TestCurve|TestLeaderboardTieBreak' ./internal/rl ./internal/sim ./internal/campaign ./internal/service ./internal/durable
 
 # Full benchmark sweep (quick-mode experiment regeneration plus the
 # micro-benchmarks of every package). The human-readable benchstat text is
@@ -141,7 +107,4 @@ bench-learning-gate:
 	$(GO) test -bench 'BenchmarkFig1$$' -benchmem -count=1 -run '^$$' . | tee results/bench-learning.txt
 	$(GO) run ./cmd/benchjson -only 'BenchmarkFig1' -threshold 0.02 -gate-ns -compare BENCH_pr8.json results/bench-learning.txt
 
-# The focused suites (recover-test, cluster-test, cluster-obs-test,
-# tournament-test, learning-test) stay out of ci: race already runs every
-# test they select.
 ci: build fmt-check vet race perfbench-check bench-smoke bench-compare-smoke

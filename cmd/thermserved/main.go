@@ -41,9 +41,10 @@
 // store purely in memory.
 //
 // With a data dir every finished job's span trace is also archived under
-// DIR/traces (newest -trace-keep retained), so /trace keeps answering after
-// the job is evicted from memory — and its sampled learning curves under
-// DIR/learning (same retention), so /learning does too.
+// DIR/traces and its sampled learning curves under DIR/learning (newest
+// -trace-keep of each retained), so /trace and /learning keep answering for
+// jobs restored from the journal after a restart. Evicting a job deletes
+// both archives.
 //
 // -flight-dir arms the anomaly flight recorder: thermal samples above
 // -temp-ceiling, NaN/Inf temperatures or metrics, and jobs making no
@@ -120,7 +121,7 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "directory for anomaly flight-recorder dumps (empty = recorder disabled)")
 	tempCeiling := flag.Float64("temp-ceiling", 0, "core temperature (C) above which a run trips a thermal-runaway alert (0 = ceiling check disabled)")
 	stallDeadline := flag.Duration("stall-deadline", service.DefaultStallDeadline, "no-progress window after which a running job trips a stall alert")
-	traceKeep := flag.Int("trace-keep", durable.DefaultTraceKeep, "archived span traces retained under the data dir")
+	traceKeep := flag.Int("trace-keep", durable.DefaultTraceKeep, "finished jobs whose span traces and learning curves stay archived under the data dir")
 	maxQueueCells := flag.Int("max-queue-cells", 0, "admission limit: queued+running cells above which POST /v1/jobs returns 429 (0 = unlimited)")
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: how long a worker holds a cell before it is reassigned")
 	heartbeatEvery := flag.Duration("heartbeat-every", cluster.DefaultHeartbeatEvery, "coordinator: worker heartbeat period (a worker silent for 5x this is declared dead)")
@@ -230,8 +231,7 @@ func main() {
 		}
 		store.SetJournal(journal)
 		pool.SetCheckpoints(checkpoints)
-		pool.SetTraceStore(traces)
-		pool.SetLearningStore(learning)
+		pool.SetArchives(traces, learning)
 		restored, resumed := pool.Recover(journal.Recovered())
 		log.Info("durable store attached", "data_dir", *dataDir, "restored_jobs", restored, "resumed_jobs", resumed)
 	}

@@ -56,12 +56,9 @@ const (
 // to <dir>/flightrec-cluster.json, mirroring the per-job flight recorder.
 // All methods are safe for concurrent use and nil-receiver safe.
 type ClusterRecorder struct {
-	mu    sync.Mutex
-	buf   []ClusterEvent
-	next  int
-	full  bool
-	total int64
-	now   func() time.Time
+	mu   sync.Mutex
+	ring telemetry.Ring[ClusterEvent]
+	now  func() time.Time
 
 	// Storm detection state: recent reassignment / death timestamps (µs)
 	// pruned to the window, and a cooldown so one storm dumps once, not once
@@ -87,7 +84,7 @@ func NewClusterRecorder(dir string, window time.Duration, reassignLimit, deathLi
 		reg = telemetry.Default()
 	}
 	return &ClusterRecorder{
-		buf:           make([]ClusterEvent, 0, clusterRingCapacity),
+		ring:          telemetry.NewRing[ClusterEvent](clusterRingCapacity),
 		now:           time.Now,
 		window:        window,
 		reassignLimit: reassignLimit,
@@ -110,14 +107,7 @@ func (c *ClusterRecorder) Record(ev ClusterEvent) {
 	if ev.TimeUS == 0 {
 		ev.TimeUS = c.now().UnixMicro()
 	}
-	c.total++
-	if !c.full && len(c.buf) < cap(c.buf) {
-		c.buf = append(c.buf, ev)
-	} else {
-		c.full = true
-		c.buf[c.next] = ev
-		c.next = (c.next + 1) % len(c.buf)
-	}
+	c.ring.Push(ev)
 	switch ev.Kind {
 	case EventLeaseReassigned:
 		c.reassignsUS = append(c.reassignsUS, ev.TimeUS)
@@ -163,7 +153,7 @@ func (c *ClusterRecorder) tripLocked(kind string, nowUS int64, detail string) {
 	if c.dir == "" {
 		return
 	}
-	evs := c.eventsLocked()
+	evs := c.ring.Items()
 	if len(evs) > clusterDumpEvents {
 		evs = evs[len(evs)-clusterDumpEvents:]
 	}
@@ -176,18 +166,6 @@ func (c *ClusterRecorder) tripLocked(kind string, nowUS int64, detail string) {
 	}
 }
 
-// eventsLocked returns the retained ring oldest-first. Callers hold c.mu.
-func (c *ClusterRecorder) eventsLocked() []ClusterEvent {
-	out := make([]ClusterEvent, 0, len(c.buf))
-	if c.full {
-		out = append(out, c.buf[c.next:]...)
-		out = append(out, c.buf[:c.next]...)
-	} else {
-		out = append(out, c.buf...)
-	}
-	return out
-}
-
 // Events returns the retained events, oldest first.
 func (c *ClusterRecorder) Events() []ClusterEvent {
 	if c == nil {
@@ -195,7 +173,7 @@ func (c *ClusterRecorder) Events() []ClusterEvent {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.eventsLocked()
+	return c.ring.Items()
 }
 
 // Total returns how many events were ever recorded, including overwritten
@@ -206,7 +184,7 @@ func (c *ClusterRecorder) Total() int64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.total
+	return c.ring.Total()
 }
 
 // Since returns the events recorded after cursor (a value previously
@@ -219,15 +197,7 @@ func (c *ClusterRecorder) Since(cursor int64) ([]ClusterEvent, int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cursor >= c.total {
-		return nil, c.total
-	}
-	n := c.total - cursor
-	if n > int64(len(c.buf)) {
-		n = int64(len(c.buf))
-	}
-	out := c.eventsLocked()
-	return out[int64(len(out))-n:], c.total
+	return c.ring.Since(cursor)
 }
 
 // RecentCommits counts cell_committed events per worker within the trailing
@@ -240,7 +210,7 @@ func (c *ClusterRecorder) RecentCommits(window time.Duration) map[string]int {
 	defer c.mu.Unlock()
 	cutoff := c.now().UnixMicro() - window.Microseconds()
 	out := make(map[string]int)
-	for _, ev := range c.eventsLocked() {
+	for _, ev := range c.ring.Items() {
 		if ev.Kind == EventCellCommitted && ev.TimeUS >= cutoff {
 			out[ev.Worker]++
 		}
@@ -258,7 +228,7 @@ func (c *ClusterRecorder) RecentReassigns(window time.Duration) int {
 	defer c.mu.Unlock()
 	cutoff := c.now().UnixMicro() - window.Microseconds()
 	n := 0
-	for _, ev := range c.eventsLocked() {
+	for _, ev := range c.ring.Items() {
 		if ev.Kind == EventLeaseReassigned && ev.TimeUS >= cutoff {
 			n++
 		}

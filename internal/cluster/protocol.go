@@ -85,7 +85,7 @@ type HeartbeatResponse struct {
 // timeline as children of the dispatching cell span.
 type TraceContext struct {
 	// Trace identifies the coordinator-side trace (the job ID — one tracer
-	// per job in the TraceStore).
+	// per job in the job store).
 	Trace string `json:"trace"`
 	// ParentSpan is the coordinator-side span the remote execution belongs
 	// to (the cell's dispatch span).

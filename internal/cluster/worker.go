@@ -496,7 +496,7 @@ func ExecuteCell(ctx context.Context, spec service.Spec, cell int, warmAgent jso
 	if cell < 0 || cell >= len(cells) {
 		return nil, fmt.Errorf("cluster: cell %d out of range (plan has %d)", cell, len(cells))
 	}
-	row, err := runCellRecover(ctx, cells[cell])
+	row, err := experiments.RunCell(ctx, cells[cell])
 	if err != nil {
 		return nil, err
 	}
@@ -505,15 +505,4 @@ func ExecuteCell(ctx context.Context, spec service.Spec, cell int, warmAgent jso
 		return nil, fmt.Errorf("cluster: cell %d row not marshalable: %w", cell, err)
 	}
 	return out, nil
-}
-
-// runCellRecover converts a panicking cell into an error, so one bad cell
-// cannot take the worker node down.
-func runCellRecover(ctx context.Context, cell experiments.Cell) (row any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			row, err = nil, fmt.Errorf("cluster: cell %s panicked: %v", cell.Key, r)
-		}
-	}()
-	return cell.Run(ctx)
 }

@@ -517,6 +517,23 @@ func TestSuiteContinuesPastFailingCells(t *testing.T) {
 	}
 }
 
+func TestRunCellsContinuesPastPanic(t *testing.T) {
+	// A panicking cell fails like an erroring one: the sequential executor
+	// runs the cells after it and names the cell and the panic value.
+	cells := []Cell{
+		{Key: "ok", Run: func(context.Context) (any, error) { return 1, nil }},
+		{Key: "panicky", Run: func(context.Context) (any, error) { panic("kaboom") }},
+		{Key: "ok2", Run: func(context.Context) (any, error) { return 2, nil }},
+	}
+	rows, err := RunCells(context.Background(), cells, AssembleAs[int])
+	if got := rows.([]int); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("rows = %v, want [1 2]", got)
+	}
+	if err == nil || !strings.Contains(err.Error(), "panicky") || !strings.Contains(err.Error(), "kaboom") {
+		t.Errorf("error %v should name cell panicky and the panic kaboom", err)
+	}
+}
+
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -71,9 +71,22 @@ func AssembleAs[T any](rows []any) any {
 	return out
 }
 
+// RunCell runs one cell, turning a panic into an error that names the cell,
+// so one bad cell cannot take down the loop, pool worker or cluster node
+// running it. Every executor calls cells through it.
+func RunCell(ctx context.Context, cell Cell) (row any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			row, err = nil, fmt.Errorf("%s: panicked: %v", cell.Key, r)
+		}
+	}()
+	return cell.Run(ctx)
+}
+
 // RunCells is the sequential executor: it runs cells in order and assembles
-// their outputs. A failing cell does not stop the others; its error joins
-// the returned error and the surviving rows are assembled without it.
+// their outputs. A failing or panicking cell does not stop the others; its
+// error joins the returned error and the surviving rows are assembled
+// without it.
 // Cancellation of ctx stops between cells, and the rows assembled so far
 // come back with ctx's error joined in. A cell that fails because ctx was
 // cancelled counts as skipped, not failed — the job pool's semantics.
@@ -84,7 +97,7 @@ func RunCells(ctx context.Context, cells []Cell, assemble Assemble) (any, error)
 		if ctx.Err() != nil {
 			break
 		}
-		row, err := c.Run(ctx)
+		row, err := RunCell(ctx, c)
 		switch {
 		case err == nil:
 			rows[i] = row

@@ -2,7 +2,6 @@ package rl
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -434,19 +433,10 @@ func (cs *CurveSet) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// MarshalJSONL renders WriteJSONL to a byte slice.
-func (cs *CurveSet) MarshalJSONL() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := cs.WriteJSONL(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeCurvesJSONL parses a WriteJSONL archive back into a CurveSet.
-func DecodeCurvesJSONL(data []byte) (*CurveSet, error) {
+// DecodeCurvesJSONL parses a WriteJSONL stream back into a CurveSet.
+func DecodeCurvesJSONL(r io.Reader) (*CurveSet, error) {
 	cs := NewCurveSet()
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	for i := 0; ; i++ {
 		var c RunCurve
 		if err := dec.Decode(&c); err == io.EOF {

@@ -186,11 +186,11 @@ func TestCurveSetJSONLRoundTrip(t *testing.T) {
 		Points:  []CurvePoint{{Epoch: 1}, {Epoch: 2, Damage: 0.25}},
 		Summary: CurveSummary{Epochs: 2, ConvergeEpoch: 1, CoreDamage: []float64{0.25}, CoreDamageShare: []float64{1}}})
 
-	data, err := cs.MarshalJSONL()
-	if err != nil {
+	var data bytes.Buffer
+	if err := cs.WriteJSONL(&data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCurvesJSONL(data)
+	got, err := DecodeCurvesJSONL(&data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCurveSetJSONLRoundTrip(t *testing.T) {
 	if want[0].Policy != "proposed" {
 		t.Fatalf("curves not sorted by coordinates: first is %q", want[0].Policy)
 	}
-	if _, err := DecodeCurvesJSONL([]byte("{not json}\n")); err == nil {
+	if _, err := DecodeCurvesJSONL(strings.NewReader("{not json}\n")); err == nil {
 		t.Fatal("corrupt archive accepted")
 	}
 }

@@ -2,12 +2,19 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/durable"
+	"repro/internal/experiments"
 	"repro/internal/rl"
 )
 
@@ -111,5 +118,109 @@ func TestLearningEndpoint(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/nope/learning", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)
+	}
+}
+
+// TestLearningSurvivesCrashRestart: a fig45 job caught mid-cell by a crash
+// resumes from the journal with its learning curves armed, serves them
+// and archives them; once the finished job is restored into a fresh store
+// and pool, /learning serves the same runs from the archive.
+func TestLearningSurvivesCrashRestart(t *testing.T) {
+	dir := t.TempDir()
+	traces, err := durable.OpenTraces(filepath.Join(dir, "traces"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learning, err := durable.OpenLearning(filepath.Join(dir, "learning"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	getLearning := func(store *Store, pool *Pool, id string) learningResponse {
+		t.Helper()
+		ts := httptest.NewServer(NewServer(store, pool))
+		defer ts.Close()
+		var lr learningResponse
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/learning", nil, &lr); code != http.StatusOK {
+			t.Fatalf("learning: status %d", code)
+		}
+		return lr
+	}
+
+	// First incarnation: hold fig45's one cell until the "kill", so the
+	// journal holds the submission and no cell outcome.
+	jobs := filepath.Join(dir, "jobs")
+	j := openJournal(t, jobs)
+	gate := &gateJournal{j: j}
+	store := NewStore(0)
+	store.SetJournal(gate)
+	pool := NewPool(store, 2)
+	started := make(chan struct{})
+	pool.plan = func(cfg experiments.Config, id string) ([]experiments.Cell, experiments.Assemble, error) {
+		cells, asm, err := campaign.Cells(cfg, id)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells[0].Prepare = nil
+		cells[0].Run = func(ctx context.Context) (any, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return cells, asm, nil
+	}
+	pool.Start()
+	job, err := pool.Submit(Spec{Experiment: "fig45", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("held cell never started")
+	}
+	gate.Cut()
+	pool.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second incarnation resumes the job with both archives attached.
+	j2 := openJournal(t, jobs)
+	store2 := NewStore(0)
+	store2.SetJournal(j2)
+	pool2 := NewPool(store2, 2)
+	pool2.SetArchives(traces, learning)
+	if restored, resumed := pool2.Recover(j2.Recovered()); restored != 0 || resumed != 1 {
+		t.Fatalf("recover: restored %d resumed %d, want 0/1", restored, resumed)
+	}
+	pool2.Start()
+	if final := waitDone(t, pool2, job.ID); final.State != StateDone {
+		t.Fatalf("resumed job finished %s: %s", final.State, final.Error)
+	}
+	live := getLearning(store2, pool2, job.ID)
+	if len(live.Runs) == 0 {
+		t.Fatalf("resumed job serves no learning runs: %+v", live)
+	}
+	if got := learning.List(); len(got) != 1 || got[0] != job.ID {
+		t.Fatalf("learning archive lists %v, want [%s]", got, job.ID)
+	}
+	pool2.Stop()
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Third incarnation restores the finished job; its curves now come from
+	// the archive.
+	j3 := openJournal(t, jobs)
+	defer j3.Close()
+	store3 := NewStore(0)
+	pool3 := NewPool(store3, 1)
+	pool3.SetArchives(traces, learning)
+	if restored, resumed := pool3.Recover(j3.Recovered()); restored != 1 || resumed != 0 {
+		t.Fatalf("restore: restored %d resumed %d, want 1/0", restored, resumed)
+	}
+	fromArchive := getLearning(store3, pool3, job.ID)
+	if fromArchive.State != string(StateDone) || !reflect.DeepEqual(fromArchive.Runs, live.Runs) {
+		t.Fatalf("archived learning differs from live:\n%+v\n%+v", fromArchive, live)
 	}
 }

@@ -92,8 +92,10 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 // handleTrace exports the job's span trace: ?format=chrome (default) renders
 // the Chrome trace-event JSON that Perfetto and chrome://tracing load
 // directly, ?format=jsonl the archival one-span-per-line form. A running
-// job's trace snapshots its progress so far (open spans marked); an evicted
-// job's trace is served from the durable archive when one is attached.
+// job's trace snapshots its progress so far (open spans marked). A job
+// restored from the journal after a restart has no live tracer; its trace
+// is served from the durable archive when one is attached. Evicting a job
+// deletes its archive, so an evicted job has no trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -105,26 +107,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spans []telemetry.Span
-	tracer, ok := s.store.Tracer(id)
-	switch {
-	case ok && tracer != nil:
+	if tracer, ok := s.store.Tracer(id); ok && tracer != nil {
 		spans = tracer.Snapshot()
-	default:
-		ts := s.pool.TraceStore()
-		if ts == nil {
-			writeError(w, http.StatusNotFound, "unknown job %s", id)
-			return
-		}
-		var err error
-		spans, err = ts.Load(id)
-		if errors.Is(err, durable.ErrNoTrace) {
-			writeError(w, http.StatusNotFound, "no trace for job %s", id)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load trace: %v", err)
-			return
-		}
+	} else if spans, ok = archived(w, s.pool.traces, id, "trace"); !ok {
+		return
 	}
 	switch format {
 	case "chrome":
@@ -135,4 +121,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = telemetry.WriteSpansJSONL(w, spans) //nolint:errcheck // client gone; nothing left to do
 	}
+}
+
+// archived loads job id's payload from archive a for a job whose live state
+// does not hold it. On failure it writes the 404 or 500 itself and reports
+// false.
+func archived[T any](w http.ResponseWriter, a *durable.Archive[T], id, what string) (T, bool) {
+	if a == nil {
+		var zero T
+		writeError(w, http.StatusNotFound, "unknown job %s", id)
+		return zero, false
+	}
+	v, err := a.Load(id)
+	switch {
+	case errors.Is(err, durable.ErrNotArchived):
+		writeError(w, http.StatusNotFound, "no %s for job %s", what, id)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "load %s: %v", what, err)
+	}
+	return v, err == nil
 }

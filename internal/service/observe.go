@@ -1,11 +1,12 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/experiments"
+	"repro/internal/rl"
 	"repro/internal/telemetry"
 )
 
@@ -28,51 +29,17 @@ func (p *Pool) EnableFlightRecorder(dir string, ceilingC float64, stallDeadline 
 	p.stallDeadline = stallDeadline
 }
 
-// SetTraceStore attaches the archive that keeps finished jobs' span traces
-// across eviction, and hooks store eviction so an evicted job's archive goes
-// with it. Attach before serving traffic.
-func (p *Pool) SetTraceStore(ts *durable.TraceStore) {
-	p.traces = ts
+// SetArchives attaches the archives that keep finished jobs' span traces
+// and learning curves on disk, so a job restored from the journal after a
+// restart still serves them; either may be nil. Evicting a job deletes both
+// of its archives. Attach before serving traffic.
+func (p *Pool) SetArchives(traces *durable.Archive[[]telemetry.Span], learning *durable.Archive[*rl.CurveSet]) {
+	p.traces, p.learning = traces, learning
 	p.store.SetOnEvict(func(id string) {
-		if err := ts.Delete(id); err != nil {
-			p.log.Warn("evicted job's trace not deleted", "job", id, "err", err)
+		if err := errors.Join(traces.Delete(id), learning.Delete(id)); err != nil {
+			p.log.Warn("evicted job's archives not deleted", "job", id, "err", err)
 		}
 	})
-}
-
-// TraceStore returns the attached trace archive (nil without a data
-// directory); the HTTP layer serves archived traces from it.
-func (p *Pool) TraceStore() *durable.TraceStore { return p.traces }
-
-// SetLearningStore attaches the archive that keeps finished jobs' learning
-// curves across eviction, alongside the trace archive, and hooks store
-// eviction so an evicted job's curve archive goes with it. Attach before
-// serving traffic.
-func (p *Pool) SetLearningStore(ls *durable.LearningStore) {
-	p.learning = ls
-	p.store.SetOnEvict(func(id string) {
-		if err := ls.Delete(id); err != nil {
-			p.log.Warn("evicted job's learning curves not deleted", "job", id, "err", err)
-		}
-	})
-}
-
-// LearningStore returns the attached learning-curve archive (nil without a
-// data directory); the HTTP layer serves archived curves from it.
-func (p *Pool) LearningStore() *durable.LearningStore { return p.learning }
-
-// armFlightRecorder builds the job's flight recorder and threads anomaly
-// detection into the simulation config (before planning, since cells capture
-// the config by value). Returns nil — which every FlightRecorder method
-// tolerates — when the recorder is not enabled.
-func (p *Pool) armFlightRecorder(cfg *experiments.Config, tracer *telemetry.Tracer, rec *telemetry.Recorder) *telemetry.FlightRecorder {
-	if p.flightDir == "" {
-		return nil
-	}
-	flight := telemetry.NewFlightRecorder(p.flightDir, tracer, rec, p.reg)
-	cfg.Run.Anomalies = flight
-	cfg.Run.TempCeilingC = p.tempCeilingC
-	return flight
 }
 
 // watchStall starts the job's stall watchdog, when the flight recorder is
@@ -123,30 +90,18 @@ func (p *Pool) watchStall(jr *jobRun) {
 	}()
 }
 
-// archiveTrace persists a finalized job's span trace, when an archive is
-// attached.
-func (p *Pool) archiveTrace(jr *jobRun) {
-	if p.traces == nil || jr.tracer == nil {
-		return
+// archive persists a finalized job's span trace and sampled learning curves
+// to the attached archives. A job whose cells attach no learner archives no
+// curves.
+func (p *Pool) archive(jr *jobRun) {
+	if p.traces != nil {
+		if err := p.traces.Save(jr.id, jr.tracer.Snapshot()); err != nil {
+			p.log.Warn("trace not archived", "job", jr.id, "err", err)
+		}
 	}
-	if err := p.traces.Save(jr.id, jr.tracer.Snapshot()); err != nil {
-		p.log.Warn("trace not archived", "job", jr.id, "err", err)
-	}
-}
-
-// archiveLearning persists a finalized job's sampled learning curves, when an
-// archive is attached and the job sampled any (deterministic-only jobs whose
-// cells attach no learner archive nothing).
-func (p *Pool) archiveLearning(jr *jobRun) {
-	if p.learning == nil || jr.curves == nil || jr.curves.Len() == 0 {
-		return
-	}
-	data, err := jr.curves.MarshalJSONL()
-	if err != nil {
-		p.log.Warn("learning curves not serialized", "job", jr.id, "err", err)
-		return
-	}
-	if err := p.learning.Save(jr.id, data); err != nil {
-		p.log.Warn("learning curves not archived", "job", jr.id, "err", err)
+	if p.learning != nil && jr.curves.Len() > 0 {
+		if err := p.learning.Save(jr.id, jr.curves); err != nil {
+			p.log.Warn("learning curves not archived", "job", jr.id, "err", err)
+		}
 	}
 }

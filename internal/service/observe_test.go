@@ -17,6 +17,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/governor"
+	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -222,8 +223,8 @@ func simPlan(policies []sim.Policy) Planner {
 // TestServerTraceEndpoint is the Chrome-trace acceptance criterion: a
 // completed job's /trace?format=chrome is valid trace-event JSON whose spans
 // nest job → cell → run → epoch, with state/action/reward on the epochs. It
-// also covers the jsonl format and the archived-trace fallback after
-// eviction.
+// also covers the jsonl format, the archive fallback for a job with no live
+// tracer, and eviction deleting the archive.
 func TestServerTraceEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	traces, err := durable.OpenTraces(filepath.Join(dir, "traces"), 0)
@@ -232,7 +233,7 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 	store := NewStore(time.Minute)
 	pool := NewPool(store, 2)
-	pool.SetTraceStore(traces)
+	pool.SetArchives(traces, nil)
 	pool.plan = simPlan([]sim.Policy{&sim.ProposedPolicy{}, sim.LinuxPolicy{Kind: governor.Ondemand}})
 	pool.Start()
 	t.Cleanup(pool.Stop)
@@ -467,15 +468,20 @@ func TestStallWatchdog(t *testing.T) {
 	waitDone(t, pool, job.ID)
 }
 
-// TestTraceStoreEvictionHook covers trace deletion alongside job eviction.
+// TestTraceStoreEvictionHook covers archive deletion alongside job eviction:
+// one hook drops the job's trace and learning-curve archives.
 func TestTraceStoreEvictionHook(t *testing.T) {
 	traces, err := durable.OpenTraces(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	learning, err := durable.OpenLearning(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	store := NewStore(time.Minute)
 	pool := NewPool(store, 1)
-	pool.SetTraceStore(traces)
+	pool.SetArchives(traces, learning)
 	pool.plan = stubPlan([]experiments.Cell{{Key: "quick", Run: func(context.Context) (any, error) { return 1, nil }}})
 	pool.Start()
 	t.Cleanup(pool.Stop)
@@ -487,12 +493,22 @@ func TestTraceStoreEvictionHook(t *testing.T) {
 	if got := traces.List(); len(got) != 1 || got[0] != job.ID {
 		t.Fatalf("archived traces = %v, want [%s]", got, job.ID)
 	}
+	// The stub cell samples no curves; archive some so eviction has a
+	// learning archive to delete.
+	curves := rl.NewCurveSet()
+	curves.Add(rl.RunCurve{Policy: "proposed", Workload: "stub"})
+	if err := learning.Save(job.ID, curves); err != nil {
+		t.Fatal(err)
+	}
 	store.mu.Lock()
 	store.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
 	store.mu.Unlock()
 	store.Sweep()
 	if got := traces.List(); len(got) != 0 {
 		t.Errorf("evicted job's trace survived: %v", got)
+	}
+	if got := learning.List(); len(got) != 0 {
+		t.Errorf("evicted job's learning curves survived: %v", got)
 	}
 }
 
@@ -512,7 +528,7 @@ func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 	// and exactly when the ring overflows relative to the client's drains.
 	job := store.Create(Spec{Experiment: "suite", Quick: true}, 1)
 	rec := telemetry.NewRecorder(8)
-	store.BindRecorder(job.ID, rec)
+	store.Bind(job.ID, nil, rec, nil, nil)
 	if err := store.Start(job.ID); err != nil {
 		t.Fatal(err)
 	}

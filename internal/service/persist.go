@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -174,9 +173,10 @@ func (p *Pool) assembleRecovered(spec Spec, rows []any) any {
 	return assemble(rows)
 }
 
-// resume re-enqueues a recovered, unfinished job: journaled cell outcomes
-// are credited up front and only the remainder is handed to the workers. The
-// job restarts its wall clock — WallClockS measures the resumed portion.
+// resume re-enqueues a recovered, unfinished job through the same launch
+// path as Submit: journaled cell outcomes are credited up front and only the
+// remainder is handed to the workers. The job restarts its wall clock —
+// WallClockS measures the resumed portion.
 func (p *Pool) resume(job Job, rows []any, errs []error) {
 	fail := func(err error) {
 		p.log.Error("recovered job not resumable", "job", job.ID, "err", err)
@@ -187,10 +187,7 @@ func (p *Pool) resume(job Job, rows []any, errs []error) {
 		fail(err)
 		return
 	}
-	rec := telemetry.NewRecorder(0)
-	cfg.Run.Recorder = rec
-	tracer := telemetry.NewTracer(0)
-	flight := p.armFlightRecorder(&cfg, tracer, rec)
+	obs := p.observe(&cfg)
 	cells, assemble, err := p.plan(cfg, job.Spec.Experiment)
 	if err != nil {
 		fail(fmt.Errorf("service: replan %s: %w", job.ID, err))
@@ -201,40 +198,7 @@ func (p *Pool) resume(job Job, rows []any, errs []error) {
 			job.ID, len(cells), job.Progress.TotalCells))
 		return
 	}
-	p.store.BindRecorder(job.ID, rec)
-	p.store.BindTracer(job.ID, tracer)
-	flight.SetJob(job.ID)
-	jctx, jcancel := context.WithCancel(p.ctx)
-	p.store.BindCancel(job.ID, jcancel)
-	jr := &jobRun{
-		id:          job.ID,
-		spec:        job.Spec,
-		ctx:         jctx,
-		cancel:      jcancel,
-		assemble:    assemble,
-		submittedAt: time.Now(),
-		tracer:      tracer,
-		events:      rec,
-		flight:      flight,
-		rows:        rows,
-		errs:        errs,
-	}
-	jr.jobSpan = tracer.Start(0, telemetry.KindJob, job.ID,
-		telemetry.Str("experiment", job.Spec.Experiment),
-		telemetry.Num("cells", float64(len(cells))),
-		telemetry.Str("resumed", "true"))
-	p.watchStall(jr)
-	var tasks []task
-	for i := range cells {
-		if rows[i] != nil || errs[i] != nil {
-			continue
-		}
-		tasks = append(tasks, task{jr: jr, idx: i, cell: cells[i]})
-	}
-	jr.remaining = len(tasks)
-	p.queued.Add(int64(len(tasks)))
-	p.feederWG.Add(1)
-	go p.feed(jr, tasks)
+	pending := p.launch(job.ID, job.Spec, obs, cells, assemble, rows, errs, telemetry.Str("resumed", "true"))
 	p.log.Info("job resumed from journal", "job", job.ID,
-		"recovered_cells", len(cells)-len(tasks), "pending_cells", len(tasks))
+		"recovered_cells", len(cells)-pending, "pending_cells", pending)
 }

@@ -68,13 +68,11 @@ type Pool struct {
 	// Q-table checkpoints.
 	checkpoints *durable.CheckpointStore
 
-	// traces, when attached, archives each finished job's span trace so it
-	// outlives the job's in-memory eviction.
-	traces *durable.TraceStore
-
-	// learning, when attached, archives each finished job's sampled learning
-	// curves (JSONL) next to the trace archive.
-	learning *durable.LearningStore
+	// traces and learning, when attached (SetArchives), archive each
+	// finished job's span trace and sampled learning curves so they outlive
+	// a restart.
+	traces   *durable.Archive[[]telemetry.Span]
+	learning *durable.Archive[*rl.CurveSet]
 
 	// Flight-recorder configuration (EnableFlightRecorder): anomaly dumps
 	// land in flightDir, temperatures above tempCeilingC trip thermal-runaway
@@ -101,16 +99,9 @@ type jobRun struct {
 	assemble experiments.Assemble
 	// submittedAt anchors the per-cell queue wait-time measurement.
 	submittedAt time.Time
-	// tracer collects the job's span hierarchy under jobSpan; events is the
-	// job's decision-event recorder (also the stall watchdog's progress
-	// signal); flight is the job's anomaly recorder (nil when disabled).
-	tracer  *telemetry.Tracer
+	observation
+	// jobSpan is the root of the job's span hierarchy.
 	jobSpan telemetry.SpanID
-	events  *telemetry.Recorder
-	flight  *telemetry.FlightRecorder
-	// curves collects every learning curve the job's cells sample; the
-	// learning endpoint serves it live and archiveLearning persists it.
-	curves *rl.CurveSet
 
 	mu        sync.Mutex
 	rows      []any
@@ -146,7 +137,7 @@ func NewPool(store *Store, workers int) *Pool {
 		log:     telemetry.Component("pool"),
 	}
 	p.runner = func(ctx context.Context, _ string, _ Spec, _ int, cell experiments.Cell) (any, string, error) {
-		row, err := runCell(ctx, cell)
+		row, err := experiments.RunCell(ctx, cell)
 		return row, "", err
 	}
 	p.registerMetrics()
@@ -198,9 +189,7 @@ func (p *Pool) Stop() {
 }
 
 // Submit validates spec, plans its cells and enqueues them, returning the
-// pending job snapshot immediately. Every job gets a bounded decision-event
-// recorder threaded through the simulation config, so the RL controller's
-// per-epoch trace is queryable while and after the job runs.
+// pending job snapshot immediately.
 func (p *Pool) Submit(spec Spec) (Job, error) {
 	if err := spec.Validate(); err != nil {
 		return Job{}, err
@@ -212,60 +201,90 @@ func (p *Pool) Submit(spec Spec) (Job, error) {
 	if err := p.applyWarmStart(&cfg, spec.Experiment, spec.WarmStart); err != nil {
 		return Job{}, err
 	}
-	rec := telemetry.NewRecorder(0)
-	cfg.Run.Recorder = rec
-	tracer := telemetry.NewTracer(0)
-	flight := p.armFlightRecorder(&cfg, tracer, rec)
-	// Arm learning-curve collection before planning, since cells capture the
-	// config by value. Tournament cells deposit into cfg.LearningCurves with
-	// full cell coordinates; plain experiment cells sample through the run
-	// observer, which carries policy and workload names only.
-	curves := rl.NewCurveSet()
-	cfg.LearningCurves = curves
-	cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
-		curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
-	}
+	obs := p.observe(&cfg)
 	cells, assemble, err := p.plan(cfg, spec.Experiment)
 	if err != nil {
 		return Job{}, err
 	}
 	job := p.store.Create(spec, len(cells))
-	p.store.BindRecorder(job.ID, rec)
-	p.store.BindTracer(job.ID, tracer)
-	p.store.BindLearning(job.ID, curves)
-	flight.SetJob(job.ID)
+	p.jobsSubmitted.Add(1)
+	p.launch(job.ID, spec, obs, cells, assemble, make([]any, len(cells)), make([]error, len(cells)),
+		telemetry.Bool("quick", spec.Quick))
+	p.log.Info("job submitted", "job", job.ID, "experiment", spec.Experiment, "cells", len(cells), "quick", spec.Quick, "warm_start", spec.WarmStart)
+	return job, nil
+}
+
+// observation is one job's observation state: the decision-event recorder
+// (also the stall watchdog's progress signal), the span tracer, the anomaly
+// flight recorder (nil when disabled) and the learning-curve set, which the
+// learning endpoint serves live and finalize archives.
+type observation struct {
+	events *telemetry.Recorder
+	tracer *telemetry.Tracer
+	flight *telemetry.FlightRecorder
+	curves *rl.CurveSet
+}
+
+// observe builds a job's observation state and arms it on cfg. Call it
+// before planning, since cells capture the config by value. Tournament cells
+// deposit into cfg.LearningCurves with full cell coordinates; plain
+// experiment cells sample through the run observer, which carries policy and
+// workload names only.
+func (p *Pool) observe(cfg *experiments.Config) observation {
+	obs := observation{
+		events: telemetry.NewRecorder(0),
+		tracer: telemetry.NewTracer(0),
+		curves: rl.NewCurveSet(),
+	}
+	cfg.Run.Recorder = obs.events
+	if p.flightDir != "" {
+		obs.flight = telemetry.NewFlightRecorder(p.flightDir, obs.tracer, obs.events, p.reg)
+		cfg.Run.Anomalies = obs.flight
+		cfg.Run.TempCeilingC = p.tempCeilingC
+	}
+	cfg.LearningCurves = obs.curves
+	cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
+		obs.curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
+	}
+	return obs
+}
+
+// launch starts a planned job: it binds the job's context and observation
+// state to the store, opens the job span (with attrs after the experiment
+// and cell count) and feeds every cell with no committed outcome in rows or
+// errs — all of them for a new job, the unjournaled ones for a resumed job.
+// It returns how many cells it fed.
+func (p *Pool) launch(id string, spec Spec, obs observation, cells []experiments.Cell, assemble experiments.Assemble, rows []any, errs []error, attrs ...telemetry.Attr) int {
 	jctx, jcancel := context.WithCancel(p.ctx)
-	p.store.BindCancel(job.ID, jcancel)
+	p.store.Bind(id, jcancel, obs.events, obs.tracer, obs.curves)
+	obs.flight.SetJob(id)
 	jr := &jobRun{
-		id:          job.ID,
+		id:          id,
 		spec:        spec,
 		ctx:         jctx,
 		cancel:      jcancel,
 		assemble:    assemble,
 		submittedAt: time.Now(),
-		tracer:      tracer,
-		events:      rec,
-		flight:      flight,
-		curves:      curves,
-		rows:        make([]any, len(cells)),
-		errs:        make([]error, len(cells)),
-		remaining:   len(cells),
+		observation: obs,
+		rows:        rows,
+		errs:        errs,
 	}
-	jr.jobSpan = tracer.Start(0, telemetry.KindJob, job.ID,
+	jr.jobSpan = obs.tracer.Start(0, telemetry.KindJob, id, append([]telemetry.Attr{
 		telemetry.Str("experiment", spec.Experiment),
 		telemetry.Num("cells", float64(len(cells))),
-		telemetry.Bool("quick", spec.Quick))
+	}, attrs...)...)
 	p.watchStall(jr)
-	tasks := make([]task, len(cells))
+	tasks := make([]task, 0, len(cells))
 	for i, cell := range cells {
-		tasks[i] = task{jr: jr, idx: i, cell: cell}
+		if rows[i] == nil && errs[i] == nil {
+			tasks = append(tasks, task{jr: jr, idx: i, cell: cell})
+		}
 	}
-	p.jobsSubmitted.Add(1)
-	p.queued.Add(int64(len(cells)))
+	jr.remaining = len(tasks)
+	p.queued.Add(int64(len(tasks)))
 	p.feederWG.Add(1)
 	go p.feed(jr, tasks)
-	p.log.Info("job submitted", "job", job.ID, "experiment", spec.Experiment, "cells", len(cells), "quick", spec.Quick, "warm_start", spec.WarmStart)
-	return job, nil
+	return len(tasks)
 }
 
 // Wait blocks until job id reaches a terminal state (returning its final
@@ -370,21 +389,6 @@ func (p *Pool) runTask(t task) {
 	p.finishCell(t.jr, t.idx, row, ranBy, err, skipped)
 }
 
-// runCell invokes the cell, converting a panic into an error so one bad
-// cell cannot kill the worker fleet.
-func runCell(ctx context.Context, cell experiments.Cell) (row any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			row, err = nil, fmt.Errorf("service: cell %s panicked: %v", cell.Key, r)
-		}
-	}()
-	row, err = cell.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // finishCell records one cell's outcome and finalizes the job when it was
 // the last one outstanding. ranBy attributes the committed outcome to the
 // cluster worker that executed it ("" in-process).
@@ -432,8 +436,7 @@ func (p *Pool) finalize(jr *jobRun) {
 	cancelled := jr.ctx.Err() != nil
 	state := p.store.Latch(jr.id, err, cancelled)
 	jr.tracer.End(jr.jobSpan, telemetry.Str("state", string(state)))
-	p.archiveTrace(jr)
-	p.archiveLearning(jr)
+	p.archive(jr)
 	p.store.Finish(jr.id, rows, err, cancelled)
 	if job, ok := p.store.Get(jr.id); ok {
 		p.log.Info("job finished", "job", jr.id, "state", string(job.State),

@@ -328,10 +328,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleLearning serves a job's sampled learning curves. The default JSON
 // body carries each sampled run's coordinates and convergence summary; the
 // full per-epoch curves stream as JSONL (one rl.RunCurve per line) with
-// ?format=jsonl. Live and recently finished jobs serve from the in-memory
-// curve set; evicted jobs fall back to the durable archive (-data-dir), the
-// same live-vs-archive split as the trace endpoint. Jobs whose cells run no
-// learner report zero runs.
+// ?format=jsonl. Live jobs serve from the in-memory curve set; a job
+// restored from the journal after a restart falls back to the durable
+// archive (-data-dir), the same split as the trace endpoint. Evicting a job
+// deletes its archive. Jobs whose cells run no learner report zero runs.
 func (s *Server) handleLearning(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -342,28 +342,9 @@ func (s *Server) handleLearning(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown learning format %q (want json or jsonl)", format)
 		return
 	}
-	var curves *rl.CurveSet
-	cs, ok := s.store.Learning(id)
-	switch {
-	case ok && cs != nil:
-		curves = cs
-	default:
-		ls := s.pool.LearningStore()
-		if ls == nil {
-			writeError(w, http.StatusNotFound, "unknown job %s", id)
-			return
-		}
-		data, err := ls.Load(id)
-		if errors.Is(err, durable.ErrNoLearning) {
-			writeError(w, http.StatusNotFound, "no learning curves for job %s", id)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "load learning curves: %v", err)
-			return
-		}
-		if curves, err = rl.DecodeCurvesJSONL(data); err != nil {
-			writeError(w, http.StatusInternalServerError, "decode learning curves: %v", err)
+	curves, ok := s.store.Learning(id)
+	if !ok || curves == nil {
+		if curves, ok = archived(w, s.pool.learning, id, "learning curves"); !ok {
 			return
 		}
 	}

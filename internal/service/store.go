@@ -24,7 +24,8 @@ type record struct {
 	job Job
 	// rows is the assembled result, set exactly once at completion.
 	rows any
-	// cancel aborts the job's context; bound by the pool at submission.
+	// cancel aborts the job's context. It and the three observation handles
+	// below are bound by the pool when the job launches (Bind).
 	cancel context.CancelFunc
 	// cancelRequested remembers a DELETE while the job was still running,
 	// so the finalizer lands on cancelled rather than failed.
@@ -33,14 +34,13 @@ type record struct {
 	// empty until then. Once set, Cancel no longer changes the outcome and
 	// Finish commits exactly this state.
 	latched State
-	// events is the job's bounded decision-event recorder; bound by the
-	// pool at submission, drained by the events endpoint.
+	// events is the job's bounded decision-event recorder, drained by the
+	// events endpoint.
 	events *telemetry.Recorder
-	// tracer is the job's span tracer; bound by the pool at submission,
-	// exported by the trace endpoint.
+	// tracer is the job's span tracer, exported by the trace endpoint.
 	tracer *telemetry.Tracer
-	// learning is the job's learning-curve set; bound by the pool at
-	// submission, exported by the learning endpoint.
+	// learning is the job's learning-curve set, exported by the learning
+	// endpoint.
 	learning *rl.CurveSet
 	// done is closed on the transition into a terminal state.
 	done chan struct{}
@@ -58,11 +58,11 @@ type Store struct {
 	// journal, when attached, receives one durable record per lifecycle
 	// transition (submit, cell outcome, cancel request, finish, evict).
 	journal Journal
-	// onEvict hooks observe each evicted job ID (the pool uses them to drop
-	// the job's archived trace and learning curves alongside the in-memory
-	// state). Called with s.mu held, so hooks must not call back into the
-	// store.
-	onEvict []func(id string)
+	// onEvict, when set, observes each evicted job ID (the pool uses it to
+	// drop the job's archived trace and learning curves alongside the
+	// in-memory state). Called with s.mu held, so it must not call back into
+	// the store.
+	onEvict func(id string)
 	log     *slog.Logger
 }
 
@@ -214,39 +214,13 @@ func (s *Store) Done(id string) <-chan struct{} {
 	return rec.done
 }
 
-// BindCancel attaches the pool's per-job cancel function.
-func (s *Store) BindCancel(id string, cancel context.CancelFunc) {
+// Bind attaches the pool-side handles of job id: the cancel function of its
+// context, its decision-event recorder, span tracer and learning-curve set.
+func (s *Store) Bind(id string, cancel context.CancelFunc, events *telemetry.Recorder, tracer *telemetry.Tracer, curves *rl.CurveSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec, ok := s.jobs[id]; ok {
-		rec.cancel = cancel
-	}
-}
-
-// BindRecorder attaches the job's decision-event recorder.
-func (s *Store) BindRecorder(id string, events *telemetry.Recorder) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		rec.events = events
-	}
-}
-
-// BindTracer attaches the job's span tracer.
-func (s *Store) BindTracer(id string, tracer *telemetry.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		rec.tracer = tracer
-	}
-}
-
-// BindLearning attaches the job's learning-curve set.
-func (s *Store) BindLearning(id string, curves *rl.CurveSet) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec, ok := s.jobs[id]; ok {
-		rec.learning = curves
+		rec.cancel, rec.events, rec.tracer, rec.learning = cancel, events, tracer, curves
 	}
 }
 
@@ -274,13 +248,13 @@ func (s *Store) Tracer(id string) (*telemetry.Tracer, bool) {
 	return rec.tracer, true
 }
 
-// SetOnEvict installs a hook observing evicted job IDs; repeated calls append
-// (every installed hook fires per eviction). Set before serving traffic;
-// hooks run under the store lock and must not re-enter the store.
+// SetOnEvict installs the hook observing evicted job IDs, replacing any
+// earlier one. Set before serving traffic; the hook runs under the store
+// lock and must not re-enter the store.
 func (s *Store) SetOnEvict(fn func(id string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.onEvict = append(s.onEvict, fn)
+	s.onEvict = fn
 }
 
 // EventsRecorder returns the job's decision-event recorder (nil when none
@@ -474,8 +448,8 @@ func (s *Store) evictLocked() int {
 			// Dropped from the durable state too, so compaction cannot
 			// resurrect an evicted job and the snapshot stays bounded.
 			s.journalLocked(durable.Record{Kind: durable.KindEvict, Job: id})
-			for _, fn := range s.onEvict {
-				fn(id)
+			if s.onEvict != nil {
+				s.onEvict(id)
 			}
 			n++
 		}

@@ -65,19 +65,13 @@ type DecisionEvent struct {
 // non-positive capacity.
 const DefaultRecorderCapacity = 8192
 
-// Recorder is a bounded ring buffer of decision events: once full, new
-// events overwrite the oldest, so the newest N survive. It is safe for
-// concurrent use — several simulation cells of one job may record into the
-// same recorder while an HTTP handler drains it.
+// Recorder is a bounded ring of decision events: once full, new events
+// overwrite the oldest, so the newest N survive. It is safe for concurrent
+// use — several simulation cells of one job may record into the same
+// recorder while an HTTP handler drains it.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []DecisionEvent
-	next    int
-	full    bool
-	dropped int64
-	// total counts every event ever recorded (retained or overwritten); it
-	// is the cursor space of Since.
-	total int64
+	mu   sync.Mutex
+	ring Ring[DecisionEvent]
 }
 
 // Ring overwrites are surfaced process-wide so /metrics shows when decision
@@ -97,12 +91,13 @@ func recorderDropCounter() *Counter {
 }
 
 // NewRecorder builds a recorder keeping the newest capacity events
-// (DefaultRecorderCapacity when capacity <= 0).
+// (DefaultRecorderCapacity when capacity <= 0). Its storage grows with the
+// events recorded, so a job recording a few hundred holds a few hundred.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{buf: make([]DecisionEvent, 0, capacity)}
+	return &Recorder{ring: NewRing[DecisionEvent](capacity)}
 }
 
 // Record appends one event, overwriting the oldest when full. NaN rewards
@@ -112,17 +107,11 @@ func (r *Recorder) Record(ev DecisionEvent) {
 		ev.Reward = 0
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	if !r.full && len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
+	overwrote := r.ring.Push(ev)
+	r.mu.Unlock()
+	if overwrote {
+		recorderDropCounter().Inc()
 	}
-	r.full = true
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	r.dropped++
-	recorderDropCounter().Inc()
 }
 
 // Total returns how many events were ever recorded, including overwritten
@@ -130,7 +119,7 @@ func (r *Recorder) Record(ev DecisionEvent) {
 func (r *Recorder) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
 // Since returns the events recorded after the given cursor (a value
@@ -141,50 +130,28 @@ func (r *Recorder) Total() int64 {
 func (r *Recorder) Since(cursor int64) ([]DecisionEvent, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cursor >= r.total {
-		return nil, r.total
-	}
-	n := r.total - cursor
-	if n > int64(len(r.buf)) {
-		n = int64(len(r.buf))
-	}
-	out := make([]DecisionEvent, 0, n)
-	// Oldest-first ordering of the retained ring, then keep the last n.
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out[int64(len(out))-n:], r.total
+	return r.ring.Since(cursor)
 }
 
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.ring.Len()
 }
 
 // Dropped returns how many events were overwritten by wraparound.
 func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.Dropped()
 }
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []DecisionEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]DecisionEvent, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	return r.ring.Items()
 }
 
 // WriteJSONL writes the retained events as one JSON object per line.

@@ -43,8 +43,14 @@ func TestRecorderBelowCapacity(t *testing.T) {
 
 func TestRecorderDefaultCapacity(t *testing.T) {
 	r := NewRecorder(0)
-	if cap(r.buf) != DefaultRecorderCapacity {
-		t.Errorf("capacity = %d, want %d", cap(r.buf), DefaultRecorderCapacity)
+	for i := 1; i <= DefaultRecorderCapacity+1; i++ {
+		r.Record(DecisionEvent{Epoch: i})
+	}
+	if r.Len() != DefaultRecorderCapacity || r.Dropped() != 1 {
+		t.Errorf("len %d dropped %d, want %d and 1", r.Len(), r.Dropped(), DefaultRecorderCapacity)
+	}
+	if evs := r.Events(); evs[0].Epoch != 2 {
+		t.Errorf("oldest retained epoch %d, want 2", evs[0].Epoch)
 	}
 }
 

@@ -110,14 +110,10 @@ type Tracer struct {
 	// tests.
 	now func() int64
 
-	mu       sync.Mutex
-	capacity int    // ring bound; the slice below grows lazily toward it
-	done     []Span // ring of completed spans
-	next     int
-	full     bool
-	dropped  int64
-	lastID   SpanID
-	active   map[SpanID]*Span
+	mu     sync.Mutex
+	done   Ring[Span] // completed spans
+	lastID SpanID
+	active map[SpanID]*Span
 }
 
 // NewTracer builds a tracer keeping the newest capacity completed spans
@@ -131,9 +127,9 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultTracerCapacity
 	}
 	return &Tracer{
-		now:      func() int64 { return time.Now().UnixMicro() },
-		capacity: capacity,
-		active:   make(map[SpanID]*Span),
+		now:    func() int64 { return time.Now().UnixMicro() },
+		done:   NewRing[Span](capacity),
+		active: make(map[SpanID]*Span),
 	}
 }
 
@@ -198,7 +194,7 @@ func (t *Tracer) End(id SpanID, attrs ...Attr) {
 		sp.DurUS = 0
 	}
 	sp.Attrs = append(sp.Attrs, attrs...)
-	t.commitLocked(*sp)
+	t.done.Push(*sp)
 }
 
 // Record commits a fully formed span in one call — the epoch path, where
@@ -214,7 +210,7 @@ func (t *Tracer) Record(parent SpanID, kind, name string, startUS, durUS int64, 
 	defer t.mu.Unlock()
 	t.lastID++
 	id := t.lastID
-	t.commitLocked(Span{
+	t.done.Push(Span{
 		ID:      id,
 		Parent:  parent,
 		Kind:    kind,
@@ -226,18 +222,6 @@ func (t *Tracer) Record(parent SpanID, kind, name string, startUS, durUS int64, 
 	return id
 }
 
-// commitLocked appends one completed span to the ring. Callers hold t.mu.
-func (t *Tracer) commitLocked(sp Span) {
-	if !t.full && len(t.done) < t.capacity {
-		t.done = append(t.done, sp)
-		return
-	}
-	t.full = true
-	t.done[t.next] = sp
-	t.next = (t.next + 1) % len(t.done)
-	t.dropped++
-}
-
 // Dropped returns how many completed spans were overwritten by wraparound.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
@@ -245,7 +229,7 @@ func (t *Tracer) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.done.Dropped()
 }
 
 // Len returns the number of retained completed spans.
@@ -255,7 +239,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.done)
+	return t.done.Len()
 }
 
 // Snapshot returns the retained spans: completed spans oldest first,
@@ -268,13 +252,6 @@ func (t *Tracer) Snapshot() []Span {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.done)+len(t.active))
-	if t.full {
-		out = append(out, t.done[t.next:]...)
-		out = append(out, t.done[:t.next]...)
-	} else {
-		out = append(out, t.done...)
-	}
 	open := make([]Span, 0, len(t.active))
 	for _, sp := range t.active {
 		cp := *sp
@@ -292,7 +269,7 @@ func (t *Tracer) Snapshot() []Span {
 		}
 		return open[i].ID < open[j].ID
 	})
-	return append(out, open...)
+	return append(t.done.Items(), open...)
 }
 
 // Import merges a span batch produced by another tracer (typically a remote
@@ -326,7 +303,7 @@ func (t *Tracer) Import(parent SpanID, spans []Span, rootAttrs ...Attr) int {
 				sp.Attrs = append(attrs, rootAttrs...)
 			}
 		}
-		t.commitLocked(sp)
+		t.done.Push(sp)
 	}
 	return len(spans)
 }
