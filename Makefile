@@ -30,10 +30,11 @@ race:
 
 # Ordering stress: the tests that catch a job reading as finished before one
 # of its side effects (a journaled cell, an archived trace, a worker's commit
-# credit) has landed, or a late DELETE changing a job's latched terminal
-# state, repeated under the race detector.
+# credit) has landed, a late DELETE changing a job's latched terminal state,
+# or an early one leaving the job's cells to run, repeated under the race
+# detector.
 stress:
-	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestTraceStoreEvictionHook|TestClusterStatusEndpoint|TestStoreLatchedStateSurvivesCancel' ./internal/service ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestTraceStoreEvictionHook|TestClusterStatusEndpoint|TestStoreLatchedStateSurvivesCancel|TestStoreBindCancelsCancelledJob' ./internal/service ./internal/cluster
 
 # The end-to-end benchmark (perfbench/, its own module) compiles against part
 # of this module's API; vetting and testing it here (including its one-job

@@ -28,11 +28,13 @@
 // (policy, workload, seed, repeat, epoch). Sampling is observation-only, so
 // results are bit-identical with and without it.
 //
-// -save-agent FILE persists the RL agent's learned state (live Q-table,
-// exploration-end snapshot, learning rate) from the last proposed-policy
-// run; -load-agent FILE warm-starts every proposed-policy run from such a
-// file instead of a zero Q-table. The file may hold any registered policy's
-// checkpoint — non-proposed kinds are only routable inside a tournament.
+// -save-agent FILE persists the last learning-policy run's checkpoint: its RL
+// agent's learned state (live Q-table, exploration-end snapshot, learning
+// rate), tagged with the policy's kind (a proposed-controller checkpoint
+// keeps the historical untagged format). -load-agent FILE warm-starts every
+// run of the policy that owns the file's kind instead of a zero Q-table;
+// non-proposed kinds are only routable inside a tournament, so a -campaign
+// run's checkpoint loads back into -campaign.
 //
 // -campaign FILE runs a declarative tournament instead of the paper
 // experiments: FILE is an experiments.json document (policies x workloads x
@@ -63,7 +65,9 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/rl"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -100,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	eventsOut := fs.String("events", "", "write the RL decision-event trace as JSONL to this file (\"-\" = stderr)")
 	traceOut := fs.String("trace", "", "write the run/window/epoch span trace to this file (.jsonl = archival JSONL, anything else = Chrome trace-event JSON for Perfetto)")
-	saveAgent := fs.String("save-agent", "", "write the RL agent state of the last proposed-policy run to this file")
+	saveAgent := fs.String("save-agent", "", "write the policy checkpoint of the last learning-policy run to this file")
 	loadAgent := fs.String("load-agent", "", "warm-start runs from policy checkpoint state in this file")
 	campaignFile := fs.String("campaign", "", "run the declarative tournament in this experiments.json document instead of paper experiments")
 	leaderboardCSV := fs.String("leaderboard-csv", "", "with -campaign: also write the leaderboard as deterministic CSV to this file")
@@ -162,11 +166,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var curves *rl.CurveSet
 	if *learningCSV != "" {
 		curves = rl.NewCurveSet()
-		// Tournament cells deposit into cfg.LearningCurves with full cell
-		// coordinates; plain experiment runs sample through the run observer.
-		cfg.LearningCurves = curves
-		cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
-			curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
+	}
+	var lastLearner policy.Checkpointer
+	if curves != nil || *saveAgent != "" {
+		// Every learning run reaches this one observer, in run order.
+		cfg.Run.LearningObserver = func(c rl.RunCurve, p sim.Policy) {
+			curves.Add(c)
+			lastLearner, _ = p.(policy.Checkpointer)
 		}
 	}
 
@@ -185,11 +191,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-load-agent: %w", err)
 		}
 	}
-	var lastAgent *rl.Agent
-	if *saveAgent != "" {
-		cfg.Run.AgentObserver = func(a *rl.Agent) { lastAgent = a }
-	}
-
 	switch {
 	case *campaignFile != "":
 		doc, err := os.ReadFile(*campaignFile)
@@ -218,12 +219,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *saveAgent != "" {
-		// A run list with no proposed-policy run leaves nothing to save;
+		// A run list with no learning-policy run leaves nothing to save;
 		// that is an error so scripts notice.
-		if lastAgent == nil {
-			return errors.New("-save-agent: no proposed-policy run produced an agent")
+		if lastLearner == nil {
+			return errors.New("-save-agent: no learning-policy run produced an agent")
 		}
-		if err := writeFile(*saveAgent, lastAgent.Save); err != nil {
+		payload, err := lastLearner.SaveCheckpoint()
+		if err == nil {
+			err = os.WriteFile(*saveAgent, payload, 0o666)
+		}
+		if err != nil {
 			return fmt.Errorf("-save-agent: %w", err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 )
 
 // TestJSONSuiteMatchesSequential: `-quick -json suite` prints exactly the
@@ -73,6 +74,32 @@ func TestCampaignLeaderboardCSVMatchesSequential(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("leaderboard CSV differs from the sequential rows':\n%s\n%s", got, want.Bytes())
+	}
+}
+
+// TestCampaignSaveAgentRoundTrip: -save-agent after a -campaign run writes
+// the last learning run's own checkpoint — ReLeTA is the example
+// tournament's last learner, so the file is tagged releta — and -load-agent
+// warm-starts the same campaign from it.
+func TestCampaignSaveAgentRoundTrip(t *testing.T) {
+	docPath := filepath.Join("..", "..", "examples", "tournament", "experiments.json")
+	agentPath := filepath.Join(t.TempDir(), "agent.json")
+	for _, flag := range []string{"-save-agent", "-load-agent"} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), []string{"-campaign", docPath, flag, agentPath}, &stdout, &stderr); err != nil {
+			t.Fatalf("%s: %v\n%s", flag, err, stderr.String())
+		}
+	}
+	payload, err := os.ReadFile(agentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := policy.DecodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Kind != policy.KindReLeTA {
+		t.Errorf("saved checkpoint kind = %q, want %q", ck.Kind, policy.KindReLeTA)
 	}
 }
 

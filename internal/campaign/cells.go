@@ -114,9 +114,16 @@ func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, 
 	// observation-only (it never touches a policy's action-selection RNG),
 	// so rows stay bit-identical with and without it across standalone,
 	// pooled and sharded execution — while every row gains the
-	// convergence verdict and per-core damage attribution.
-	sampled := new(*rl.LearningSampler)
-	rc.LearningObserver = func(_, _ string, s *rl.LearningSampler) { *sampled = s }
+	// convergence verdict and per-core damage attribution. The caller's
+	// observer receives the curve stamped with the cell's coordinates.
+	var curve *rl.RunCurve
+	rc.LearningObserver = func(sampled rl.RunCurve, p sim.Policy) {
+		sampled.Policy, sampled.Workload, sampled.Seed, sampled.Repeat = c.Policy, c.Workload, c.Seed, c.Repeat
+		curve = &sampled
+		if observe := cfg.Run.LearningObserver; observe != nil {
+			observe(sampled, p)
+		}
+	}
 	finish := func(res *sim.Result) (any, error) {
 		row := Row{
 			Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
@@ -132,14 +139,8 @@ func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, 
 		if ec, ok := pol.(interface{ DecisionEpochs() int }); ok {
 			row.DecisionEpochs = ec.DecisionEpochs()
 		}
-		if s := *sampled; s != nil {
-			row.ConvergeEpoch = s.ConvergedEpoch() // -1 when never converged
-			if cfg.LearningCurves != nil {
-				cfg.LearningCurves.Add(rl.RunCurve{
-					Policy: c.Policy, Workload: c.Workload, Seed: c.Seed, Repeat: c.Repeat,
-					Points: s.Points(), Summary: s.Summary(),
-				})
-			}
+		if curve != nil {
+			row.ConvergeEpoch = curve.Summary.ConvergeEpoch // -1 when never converged
 		}
 		return row, nil
 	}

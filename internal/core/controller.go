@@ -205,15 +205,9 @@ type Controller struct {
 
 	history       []EpochRecord
 	recordHistory bool
-	// recorder, when attached, receives one telemetry.DecisionEvent per
-	// epoch (the observable trace of the paper's re-learning behaviour).
-	recorder *telemetry.Recorder
-	// tracer, when attached, receives one epoch span per decision epoch
-	// under traceSpan (the run span). wallEpochStartUS anchors each epoch
-	// span on the wall-clock timeline so epochs partition the run span.
-	tracer           *telemetry.Tracer
-	traceSpan        telemetry.SpanID
-	wallEpochStartUS int64
+	// report, when set, receives one telemetry.DecisionEvent per epoch (the
+	// observable trace of the paper's re-learning behaviour).
+	report func(telemetry.DecisionEvent)
 	// curve, when attached, samples one learning-curve point per decision
 	// epoch (nil receiver disables at a single branch; see rl.LearningSampler).
 	curve *rl.LearningSampler
@@ -350,20 +344,10 @@ func (c *Controller) LoadState(r io.Reader) error {
 // RecordHistory enables per-epoch record keeping (used by experiments).
 func (c *Controller) RecordHistory(on bool) { c.recordHistory = on }
 
-// AttachRecorder streams one decision event per epoch into r (nil detaches).
-// The recorder is bounded, so attaching costs O(capacity) memory however
-// long the run.
-func (c *Controller) AttachRecorder(r *telemetry.Recorder) { c.recorder = r }
-
-// AttachTracer makes the controller emit one epoch span per decision epoch,
-// parented under runSpan. Epoch spans carry the observed state, applied
-// action, granted reward, learning phase, exploration flag and any
-// variation-detector verdict — Algorithm 1 rendered on a timeline.
-func (c *Controller) AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID) {
-	c.tracer = t
-	c.traceSpan = runSpan
-	c.wallEpochStartUS = t.Now()
-}
+// ReportDecisions passes one decision event per epoch to report (nil stops):
+// the observed state, applied action, granted reward, learning phase,
+// exploration flag and any variation-detector verdict.
+func (c *Controller) ReportDecisions(report func(telemetry.DecisionEvent)) { c.report = report }
 
 // AttachLearningSampler samples a learning-curve point per decision epoch and
 // routes the agent's TD errors into s. Attaching is purely observational: the
@@ -567,9 +551,9 @@ func (c *Controller) endEpoch() {
 			Event:     event,
 		})
 	}
-	if c.recorder != nil {
+	if c.report != nil {
 		kind, switched := eventKind(event)
-		c.recorder.Record(telemetry.DecisionEvent{
+		c.report(telemetry.DecisionEvent{
 			Epoch:          c.localEpochs,
 			TimeS:          now,
 			Workload:       c.p.Workload().Name(),
@@ -582,25 +566,6 @@ func (c *Controller) endEpoch() {
 			Kind:           kind,
 			SwitchDetected: switched,
 		})
-	}
-	if c.tracer != nil {
-		kind, switched := eventKind(event)
-		wallNow := c.tracer.Now()
-		c.tracer.Record(c.traceSpan, telemetry.KindEpoch,
-			fmt.Sprintf("epoch %d", c.localEpochs),
-			c.wallEpochStartUS, wallNow-c.wallEpochStartUS,
-			telemetry.Num("epoch", float64(c.localEpochs)),
-			telemetry.Num("time_s", now),
-			telemetry.Str("workload", c.p.Workload().Name()),
-			telemetry.Num("state", float64(state)),
-			telemetry.Num("action", float64(action)),
-			telemetry.Num("reward", reward),
-			telemetry.Num("alpha", c.agent.Alpha()),
-			telemetry.Str("phase", c.agent.Phase().String()),
-			telemetry.Bool("explored", c.agent.LastSelectionExplored()),
-			telemetry.Str("event", kind),
-			telemetry.Bool("switch_detected", switched))
-		c.wallEpochStartUS = wallNow
 	}
 	if c.log.Enabled(context.Background(), slog.LevelDebug) {
 		c.log.Debug("epoch",

@@ -22,7 +22,7 @@ func TestControllerRecordsQResetOnAppSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder(0)
-	c.AttachRecorder(rec)
+	c.ReportDecisions(rec.Record)
 	for !p.Done() && p.Now() < 4000 {
 		p.Step()
 		c.Tick()

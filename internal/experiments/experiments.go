@@ -54,12 +54,6 @@ type Config struct {
 	// kind). WarmStart above remains the decoded table for the proposed
 	// controller.
 	WarmCheckpoint []byte
-	// LearningCurves, when non-nil, collects every sampled run's learning
-	// curve with its full cell coordinates (policy, workload, seed,
-	// repeat). Tournament cells always sample and deposit here; plain
-	// experiment runs sample through Run.LearningObserver instead, which
-	// only carries policy and workload names.
-	LearningCurves *rl.CurveSet
 }
 
 // DefaultConfig returns the full-fidelity configuration.

@@ -166,8 +166,6 @@ func trainTeacher(t *testing.T, seed int64, app string) *policy.Checkpoint {
 	}
 	rc := sim.DefaultRunConfig()
 	rc.DiscardTrace = true
-	var agent *rl.Agent
-	rc.AgentObserver = func(a *rl.Agent) { agent = a }
 	work, err := workload.ByName(app, workload.Set1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +173,11 @@ func trainTeacher(t *testing.T, seed int64, app string) *policy.Checkpoint {
 	if _, err := sim.Run(rc, work, pol); err != nil {
 		t.Fatal(err)
 	}
-	if agent == nil {
-		t.Fatal("run produced no agent")
-	}
-	var buf bytes.Buffer
-	if err := agent.SaveKind(&buf, policy.KindProposed); err != nil {
+	payload, err := pol.(policy.Checkpointer).SaveCheckpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := policy.DecodeCheckpoint(buf.Bytes())
+	ck, err := policy.DecodeCheckpoint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,6 @@ type Factory struct {
 	Name string
 	// Description is a one-line human summary for listings.
 	Description string
-	// Kind is the checkpoint policy-kind the policy saves and loads
-	// ("" for policies without learning state).
-	Kind string
-	// Learner marks policies with trainable state.
-	Learner bool
 	// New builds a fresh instance; policies are stateful, so a new instance
 	// is required per run.
 	New func(Options) (sim.Policy, error)
@@ -63,7 +58,8 @@ type Factory struct {
 
 // Checkpointer is implemented by policies with persistable learning state.
 // SaveCheckpoint returns a payload DecodeCheckpoint understands, tagged with
-// the policy's kind.
+// the policy's kind (the proposed controller writes the historical untagged
+// format, which decodes as KindProposed).
 type Checkpointer interface {
 	SaveCheckpoint() ([]byte, error)
 }
@@ -144,8 +140,6 @@ func init() {
 	Register(Factory{
 		Name:        "proposed",
 		Description: "the paper's inter/intra-application RL controller (stress x aging state, Eq. 8 reward)",
-		Kind:        KindProposed,
-		Learner:     true,
 		New: func(o Options) (sim.Policy, error) {
 			pp := &sim.ProposedPolicy{}
 			if o.Seed == 0 && o.Checkpoint == nil {
@@ -170,8 +164,6 @@ func init() {
 	Register(Factory{
 		Name:        "releta",
 		Description: "ReLeTA-style Q-learner: temperature-level x trend state, temperature-centric reward (arXiv 1912.00189)",
-		Kind:        KindReLeTA,
-		Learner:     true,
 		New: func(o Options) (sim.Policy, error) {
 			r := &ReLeTA{Seed: o.Seed}
 			if o.Checkpoint != nil && o.Checkpoint.NormalizedKind() == KindReLeTA {
@@ -184,8 +176,6 @@ func init() {
 	Register(Factory{
 		Name:        "distilled",
 		Description: "frozen decision table distilled from a converged Q-table; near-zero decision-epoch cost (arXiv 2206.05459)",
-		Kind:        KindDistilled,
-		Learner:     true,
 		New: func(o Options) (sim.Policy, error) {
 			d := &Distilled{Seed: o.Seed}
 			if o.Checkpoint != nil {

@@ -131,23 +131,20 @@ func (r *ReLeTA) Attach(p *platform.Platform) error {
 	r.sensorBuf = make([]float64, p.NumCores())
 	r.nextSample = cfg.SamplingIntervalS
 	r.peak = math.Inf(-1)
-	r.agent.AttachSampler(r.curve)
 	return nil
 }
 
 // AttachLearningSampler enables per-epoch learning-curve sampling (nil
-// detaches). Valid before or after Attach; sampling is observation-only and
-// never perturbs the agent's action-selection RNG.
+// detaches), implementing sim.LearningAttacher. Sampling is
+// observation-only and never perturbs the agent's action-selection RNG.
 func (r *ReLeTA) AttachLearningSampler(s *rl.LearningSampler) {
 	r.curve = s
-	if r.agent != nil {
-		r.agent.AttachSampler(s)
-	}
+	r.agent.AttachSampler(s)
 }
 
 // CurrentDecision reports the decision epoch currently in force and the
-// action it applied (epoch 0 / action -1 before the first decision), for
-// thermal-cycle damage attribution.
+// action it applied (epoch 0 / action -1 before the first decision),
+// implementing sim.LearningAttacher for thermal-cycle damage attribution.
 func (r *ReLeTA) CurrentDecision() (epoch, action int) {
 	if !r.havePrev {
 		return 0, -1
@@ -249,10 +246,6 @@ func (r *ReLeTA) reward() float64 {
 	rising := clamp01(r.slope() / (2 * r.cfg.SlopeThresholdC))
 	return (1 - 2*tN) - r.cfg.SlopePenalty*rising
 }
-
-// LearningAgent exposes the agent (nil before Attach), implementing
-// sim.AgentProvider for post-run persistence.
-func (r *ReLeTA) LearningAgent() *rl.Agent { return r.agent }
 
 // RewardStats returns the sum and count of granted rewards this run.
 func (r *ReLeTA) RewardStats() (sum float64, count int) { return r.rewardSum, r.rewardN }

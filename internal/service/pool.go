@@ -15,6 +15,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/rl"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -226,10 +227,9 @@ type observation struct {
 }
 
 // observe builds a job's observation state and arms it on cfg. Call it
-// before planning, since cells capture the config by value. Tournament cells
-// deposit into cfg.LearningCurves with full cell coordinates; plain
-// experiment cells sample through the run observer, which carries policy and
-// workload names only.
+// before planning, since cells capture the config by value. Every sampled
+// run's curve reaches the one learning observer (tournament cells stamp it
+// with their seed and repeat first).
 func (p *Pool) observe(cfg *experiments.Config) observation {
 	obs := observation{
 		events: telemetry.NewRecorder(0),
@@ -242,10 +242,7 @@ func (p *Pool) observe(cfg *experiments.Config) observation {
 		cfg.Run.Anomalies = obs.flight
 		cfg.Run.TempCeilingC = p.tempCeilingC
 	}
-	cfg.LearningCurves = obs.curves
-	cfg.Run.LearningObserver = func(pol, wl string, s *rl.LearningSampler) {
-		obs.curves.Add(rl.RunCurve{Policy: pol, Workload: wl, Points: s.Points(), Summary: s.Summary()})
-	}
+	cfg.Run.LearningObserver = func(c rl.RunCurve, _ sim.Policy) { obs.curves.Add(c) }
 	return obs
 }
 

@@ -250,7 +250,8 @@ func TestServerEvents(t *testing.T) {
 	ts, pool, _ := startServer(t, 1)
 	// The planner receives the job's config with the recorder already bound
 	// to cfg.Run.Recorder; running sim.Run with that config validates the
-	// whole chain: Submit → RunConfig → RecorderAttacher → core.Controller.
+	// whole chain: Submit → RunConfig → sim's decision feed →
+	// core.Controller.
 	pool.plan = func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
 		run := cfg.Run
 		cell := experiments.Cell{Key: "two-app", Run: func(context.Context) (any, error) {

@@ -216,11 +216,16 @@ func (s *Store) Done(id string) <-chan struct{} {
 
 // Bind attaches the pool-side handles of job id: the cancel function of its
 // context, its decision-event recorder, span tracer and learning-curve set.
+// A job whose cancellation was requested before Bind (a DELETE between
+// Create and Bind) has its context cancelled here, so none of its cells run.
 func (s *Store) Bind(id string, cancel context.CancelFunc, events *telemetry.Recorder, tracer *telemetry.Tracer, curves *rl.CurveSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec, ok := s.jobs[id]; ok {
 		rec.cancel, rec.events, rec.tracer, rec.learning = cancel, events, tracer, curves
+		if rec.cancelRequested {
+			cancel()
+		}
 	}
 }
 

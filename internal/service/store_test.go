@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -170,5 +171,31 @@ func TestStoreLatchedStateSurvivesCancel(t *testing.T) {
 	s.Finish(early.ID, nil, nil, false)
 	if got, _ := s.Get(early.ID); got.State != StateCancelled {
 		t.Errorf("cancel before the latch: finished %s, want %s", got.State, StateCancelled)
+	}
+}
+
+// TestStoreBindCancelsCancelledJob drives the submit/DELETE race by hand: a
+// DELETE between Create and Bind finalizes the pending job before its
+// context exists, so Bind must hand back that context already cancelled, or
+// the job's cells would run (and journal) after its terminal record.
+func TestStoreBindCancelsCancelledJob(t *testing.T) {
+	s, _ := newTestStore(time.Hour)
+	job := s.Create(Spec{Experiment: "suite"}, 1)
+	if snap, err := s.Cancel(job.ID); err != nil || snap.State != StateCancelled {
+		t.Fatalf("cancel before bind: %+v, %v", snap, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Bind(job.ID, cancel, nil, nil, nil)
+	if ctx.Err() == nil {
+		t.Error("Bind left a cancelled job's context live")
+	}
+
+	live := s.Create(Spec{Experiment: "suite"}, 1)
+	lctx, lcancel := context.WithCancel(context.Background())
+	defer lcancel()
+	s.Bind(live.ID, lcancel, nil, nil, nil)
+	if lctx.Err() != nil {
+		t.Error("Bind cancelled a job nobody cancelled")
 	}
 }

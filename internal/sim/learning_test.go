@@ -11,16 +11,16 @@ import (
 )
 
 // runLearning runs lightApp under the given policy with learning-curve
-// sampling armed and returns the result plus the finalized sampler (nil if
-// the policy never attached one).
-func runLearning(t *testing.T, cfg RunConfig, pol Policy) (*Result, *rl.LearningSampler) {
+// sampling armed and returns the result plus the finished curve (nil if the
+// policy never attached a sampler).
+func runLearning(t *testing.T, cfg RunConfig, pol Policy) (*Result, *rl.RunCurve) {
 	t.Helper()
-	var got *rl.LearningSampler
-	cfg.LearningObserver = func(policy, workload string, s *rl.LearningSampler) {
-		if policy != pol.Name() {
-			t.Errorf("observer saw policy %q, want %q", policy, pol.Name())
+	var got *rl.RunCurve
+	cfg.LearningObserver = func(s rl.RunCurve, _ Policy) {
+		if s.Policy != pol.Name() {
+			t.Errorf("observer saw policy %q, want %q", s.Policy, pol.Name())
 		}
-		got = s
+		got = &s
 	}
 	res, err := Run(cfg, lightApp(), pol)
 	if err != nil {
@@ -40,11 +40,11 @@ func TestLearningSamplerCapturesCurve(t *testing.T) {
 	if s == nil {
 		t.Fatal("proposed policy did not attach a learning sampler")
 	}
-	pts := s.Points()
+	pts := s.Points
 	if len(pts) == 0 {
 		t.Fatal("sampler recorded no epochs")
 	}
-	sum := s.Summary()
+	sum := s.Summary
 	if sum.Epochs != len(pts) {
 		t.Errorf("summary epochs %d != %d points", sum.Epochs, len(pts))
 	}
@@ -125,9 +125,9 @@ func TestLearningStressIdenticalAcrossTracePaths(t *testing.T) {
 		t.Errorf("damage shares differ across trace paths:\n%v\n%v",
 			r1.CoreDamageShare, r2.CoreDamageShare)
 	}
-	if !reflect.DeepEqual(s1.Summary().CoreDamage, s2.Summary().CoreDamage) {
+	if !reflect.DeepEqual(s1.Summary.CoreDamage, s2.Summary.CoreDamage) {
 		t.Errorf("attributed damage differs across trace paths:\n%v\n%v",
-			s1.Summary().CoreDamage, s2.Summary().CoreDamage)
+			s1.Summary.CoreDamage, s2.Summary.CoreDamage)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestLearningObserverSkipsNonLearners(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.DiscardTrace = true
 	called := false
-	cfg.LearningObserver = func(string, string, *rl.LearningSampler) { called = true }
+	cfg.LearningObserver = func(rl.RunCurve, Policy) { called = true }
 	res, err := Run(cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand})
 	if err != nil {
 		t.Fatal(err)

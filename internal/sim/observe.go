@@ -80,6 +80,28 @@ func (g *runGuard) finals(res *Result) {
 	}
 }
 
+// decisionFeed returns the hook a DecisionReporter reports each epoch's
+// decision event to, or nil when neither rec nor tr is set. The event goes
+// to rec and becomes an "epoch N" span under runSpan that covers the wall
+// time since the previous decision, or since the feed was built.
+func decisionFeed(rec *telemetry.Recorder, tr *telemetry.Tracer, runSpan telemetry.SpanID) func(telemetry.DecisionEvent) {
+	if rec == nil && tr == nil {
+		return nil
+	}
+	wallUS := tr.Now()
+	return func(ev telemetry.DecisionEvent) {
+		if rec != nil {
+			rec.Record(ev)
+		}
+		if tr != nil {
+			now := tr.Now()
+			tr.Record(runSpan, telemetry.KindEpoch, fmt.Sprintf("epoch %d", ev.Epoch),
+				wallUS, now-wallUS, ev.SpanAttrs()...)
+			wallUS = now
+		}
+	}
+}
+
 // windowAgg folds the oracle samples of one run into fixed simulated-time
 // windows and emits one window span per window: the coarse thermal timeline a
 // human scrubs through in Perfetto (per-core mean temperature and power, the
@@ -102,13 +124,16 @@ type windowAgg struct {
 	flips   int
 }
 
-// newWindowAgg returns nil when tracing is off or the window width is
-// non-positive.
+// traceWindowS is the simulated-time width of one window span, seconds: the
+// aggregation granularity of the thermal timeline.
+const traceWindowS = 10
+
+// newWindowAgg returns nil when tracing is off.
 func newWindowAgg(cfg RunConfig, parent telemetry.SpanID) *windowAgg {
-	if cfg.Tracer == nil || cfg.TraceWindowS <= 0 {
+	if cfg.Tracer == nil {
 		return nil
 	}
-	return &windowAgg{tracer: cfg.Tracer, parent: parent, windowS: cfg.TraceWindowS}
+	return &windowAgg{tracer: cfg.Tracer, parent: parent, windowS: traceWindowS}
 }
 
 func (w *windowAgg) sample(timeS float64, temps, power []float64) {

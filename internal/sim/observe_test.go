@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +99,63 @@ func TestRunEmitsSpanHierarchy(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"traceEvents"`) {
 		t.Error("chrome export missing traceEvents")
+	}
+}
+
+// TestEpochSpansMatchDecisionEvents: a run with a recorder and a tracer
+// feeds both from the same decision events, so the i-th epoch span is named
+// after the i-th recorded event and carries its 11 fields in span order. The
+// one difference is the first epoch's missing reward: the recorder stores it
+// as 0, the span as the string "NaN".
+func TestEpochSpansMatchDecisionEvents(t *testing.T) {
+	cfg := DefaultRunConfig()
+	rec := telemetry.NewRecorder(0)
+	tr := telemetry.NewTracer(0)
+	cfg.Recorder, cfg.Tracer = rec, tr
+	if _, err := Run(cfg, lightApp(), &ProposedPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	var epochs []telemetry.Span
+	for _, sp := range tr.Snapshot() {
+		if sp.Kind == telemetry.KindEpoch {
+			epochs = append(epochs, sp)
+		}
+	}
+	events := rec.Events()
+	if len(events) == 0 || len(epochs) != len(events) {
+		t.Fatalf("%d epoch spans for %d decision events", len(epochs), len(events))
+	}
+	for i, ev := range events {
+		sp := epochs[i]
+		if want := fmt.Sprintf("epoch %d", ev.Epoch); sp.Name != want {
+			t.Errorf("span %d is named %q, want %q", i, sp.Name, want)
+		}
+		reward := ev.Reward
+		if i == 0 {
+			if ev.Reward != 0 {
+				t.Errorf("first event's reward = %g, want 0 for the NaN of no previous action", ev.Reward)
+			}
+			reward = math.NaN()
+		}
+		want := []telemetry.Attr{
+			telemetry.Num("epoch", float64(ev.Epoch)),
+			telemetry.Num("time_s", ev.TimeS),
+			telemetry.Str("workload", ev.Workload),
+			telemetry.Num("state", float64(ev.State)),
+			telemetry.Num("action", float64(ev.Action)),
+			telemetry.Num("reward", reward),
+			telemetry.Num("alpha", ev.Alpha),
+			telemetry.Str("phase", ev.Phase),
+			telemetry.Bool("explored", ev.Explored),
+			telemetry.Str("event", ev.Kind),
+			telemetry.Bool("switch_detected", ev.SwitchDetected),
+		}
+		if !reflect.DeepEqual(sp.Attrs, want) {
+			t.Errorf("span %d attrs\n%+v\nwant the event's\n%+v", i, sp.Attrs, want)
+		}
+	}
+	if str, _, _ := epochs[0].Attr("reward"); str != "NaN" {
+		t.Errorf("first epoch span reward = %q, want \"NaN\"", str)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -87,11 +88,7 @@ type ProposedPolicy struct {
 	// History enables per-epoch recording on the controller.
 	History bool
 
-	ctl       *core.Controller
-	rec       *telemetry.Recorder
-	tracer    *telemetry.Tracer
-	traceSpan telemetry.SpanID
-	curve     *rl.LearningSampler
+	ctl *core.Controller
 }
 
 // Name returns "proposed".
@@ -108,54 +105,25 @@ func (pp *ProposedPolicy) Attach(p *platform.Platform) error {
 		return err
 	}
 	ctl.RecordHistory(pp.History)
-	if pp.rec != nil {
-		ctl.AttachRecorder(pp.rec)
-	}
-	if pp.tracer != nil {
-		ctl.AttachTracer(pp.tracer, pp.traceSpan)
-	}
-	if pp.curve != nil {
-		ctl.AttachLearningSampler(pp.curve)
-	}
 	pp.ctl = ctl
 	return nil
 }
 
-// AttachRecorder streams the controller's per-epoch decision events into r.
-// Safe to call before or after Attach.
-func (pp *ProposedPolicy) AttachRecorder(r *telemetry.Recorder) {
-	pp.rec = r
-	if pp.ctl != nil {
-		pp.ctl.AttachRecorder(r)
-	}
-}
-
-// AttachTracer makes the controller emit one epoch span per decision epoch
-// under runSpan, implementing sim.TracerAttacher. Safe to call before or
-// after Attach.
-func (pp *ProposedPolicy) AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID) {
-	pp.tracer, pp.traceSpan = t, runSpan
-	if pp.ctl != nil {
-		pp.ctl.AttachTracer(t, runSpan)
-	}
+// ReportDecisions passes the controller's per-epoch decision events to
+// report, implementing DecisionReporter.
+func (pp *ProposedPolicy) ReportDecisions(report func(telemetry.DecisionEvent)) {
+	pp.ctl.ReportDecisions(report)
 }
 
 // AttachLearningSampler enables per-epoch learning-curve sampling on the
-// controller, implementing sim.LearningAttacher. Safe to call before or
-// after Attach.
+// controller, implementing LearningAttacher.
 func (pp *ProposedPolicy) AttachLearningSampler(s *rl.LearningSampler) {
-	pp.curve = s
-	if pp.ctl != nil {
-		pp.ctl.AttachLearningSampler(s)
-	}
+	pp.ctl.AttachLearningSampler(s)
 }
 
 // CurrentDecision forwards the controller's live decision (epoch, action),
-// implementing sim.DecisionInfoProvider for damage attribution.
+// implementing LearningAttacher.
 func (pp *ProposedPolicy) CurrentDecision() (epoch, action int) {
-	if pp.ctl == nil {
-		return 0, -1
-	}
 	return pp.ctl.CurrentDecision()
 }
 
@@ -165,13 +133,18 @@ func (pp *ProposedPolicy) Tick(*platform.Platform) { pp.ctl.Tick() }
 // Controller exposes the attached controller (nil before Attach).
 func (pp *ProposedPolicy) Controller() *core.Controller { return pp.ctl }
 
-// LearningAgent exposes the controller's RL agent (nil before Attach),
-// implementing sim.AgentProvider for post-run agent persistence.
-func (pp *ProposedPolicy) LearningAgent() *rl.Agent {
+// SaveCheckpoint serializes the controller's agent in rl.Agent.Save's
+// untagged format, which checkpoint decoding reads as the proposed kind
+// (implementing policy.Checkpointer).
+func (pp *ProposedPolicy) SaveCheckpoint() ([]byte, error) {
 	if pp.ctl == nil {
-		return nil
+		return nil, fmt.Errorf("sim: proposed: no controller attached")
 	}
-	return pp.ctl.Agent()
+	var buf bytes.Buffer
+	if err := pp.ctl.Agent().Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // RewardStats forwards the controller's accumulated reward sum and count,

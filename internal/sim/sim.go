@@ -54,32 +54,25 @@ type RunConfig struct {
 	// MTTF computation.
 	Cycling reliability.CyclingParams
 	Aging   reliability.AgingParams
-	// Recorder, when non-nil, is attached to policies that support decision
-	// tracing (the RL controller), collecting one event per decision epoch
-	// into a bounded ring buffer.
+	// Recorder, when non-nil, receives one decision event per epoch from
+	// policies that report their decisions (DecisionReporter), into a
+	// bounded ring buffer.
 	Recorder *telemetry.Recorder
-	// AgentObserver, when non-nil, is called with the learning agent after a
-	// run completes, for policies that expose one (the RL controller). The
-	// thermsim -save-agent flag uses it to persist what the run learned.
-	AgentObserver func(*rl.Agent)
-	// LearningObserver, when non-nil, arms learning-curve sampling on
-	// policies that support it (LearningAttacher): a fresh sampler is
-	// attached before the run, finalized after it, and handed to the
-	// observer with the policy and workload names. When the policy also
-	// reports its live decision (DecisionInfoProvider), closing thermal
-	// cycles are attributed to the decision epoch and action in force.
-	// Sampling is observation-only — it never touches a policy's
+	// LearningObserver, when non-nil, arms learning-curve sampling on the
+	// learners (LearningAttacher): a fresh sampler is attached before the
+	// run and finalized after it, and its curve, with the policy and
+	// workload names filled in, is handed to the observer with the policy.
+	// Closing thermal cycles are attributed to the decision epoch and action
+	// in force. Sampling is observation-only — it never touches a policy's
 	// action-selection RNG — so enabling it leaves every other result field
 	// bit-identical. Nil disables sampling with zero overhead.
-	LearningObserver func(policy, workload string, s *rl.LearningSampler)
-	// Tracer, when non-nil, collects hierarchical run/window/epoch spans;
-	// TraceParent is the span the run span nests under (0 for a root span).
-	// A nil Tracer disables tracing with zero overhead on the step loop.
+	LearningObserver func(rl.RunCurve, Policy)
+	// Tracer, when non-nil, collects hierarchical run/window/epoch spans
+	// (window spans are traceWindowS of simulated time wide); TraceParent is
+	// the span the run span nests under (0 for a root span). A nil Tracer
+	// disables tracing with zero overhead on the step loop.
 	Tracer      *telemetry.Tracer
 	TraceParent telemetry.SpanID
-	// TraceWindowS is the simulated-time width of one window span (the
-	// aggregation granularity of the thermal timeline); default 10 s.
-	TraceWindowS float64
 	// TempCeilingC, when positive, arms the thermal-runaway anomaly check: any
 	// sampled core temperature above the ceiling trips Anomalies. The
 	// ceiling is a fault detector, not a control knob — set it well above
@@ -100,7 +93,6 @@ func DefaultRunConfig() RunConfig {
 		WarmupSkipS:     45,
 		Cycling:         reliability.DefaultCyclingParams(),
 		Aging:           reliability.DefaultAgingParams(),
-		TraceWindowS:    10,
 	}
 }
 
@@ -142,35 +134,22 @@ type Result struct {
 	AppSwitches int
 }
 
-// RecorderAttacher is implemented by policies that can stream per-epoch
-// decision events into a telemetry recorder (the proposed RL controller).
-type RecorderAttacher interface {
-	AttachRecorder(*telemetry.Recorder)
+// DecisionReporter is implemented by policies that report one decision
+// event per epoch (the proposed RL controller). Run arms it after Attach when
+// RunConfig.Recorder or Tracer is set: each event is recorded and becomes an
+// epoch span under the run span.
+type DecisionReporter interface {
+	ReportDecisions(func(telemetry.DecisionEvent))
 }
 
-// AgentProvider is implemented by policies backed by a learning agent (the
-// proposed RL controller); LearningAgent returns nil before Attach.
-type AgentProvider interface {
-	LearningAgent() *rl.Agent
-}
-
-// TracerAttacher is implemented by policies that can emit per-epoch spans
-// under the run span (the proposed RL controller).
-type TracerAttacher interface {
-	AttachTracer(t *telemetry.Tracer, runSpan telemetry.SpanID)
-}
-
-// LearningAttacher is implemented by policies that can drive a per-epoch
-// learning-curve sampler (the live Q-table learners; frozen policies like the
-// distilled table have no curve to sample).
+// LearningAttacher is implemented by the live Q-table learners (frozen
+// policies like the distilled table have no curve to sample). Run arms it
+// after Attach when RunConfig.LearningObserver is set: the sampler takes one
+// learning-curve point per decision epoch, and CurrentDecision reports the
+// decision epoch and applied action in force (epoch 0 / action -1 before the
+// first decision), to which closing thermal cycles are attributed.
 type LearningAttacher interface {
 	AttachLearningSampler(*rl.LearningSampler)
-}
-
-// DecisionInfoProvider is implemented by policies that can report which
-// decision epoch (and applied action) is currently steering the platform,
-// enabling thermal-cycle damage attribution.
-type DecisionInfoProvider interface {
 	CurrentDecision() (epoch, action int)
 }
 
@@ -230,21 +209,15 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, er
 	if err := policy.Attach(r.p); err != nil {
 		return nil, r.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}
-	if cfg.Recorder != nil {
-		if ra, ok := policy.(RecorderAttacher); ok {
-			ra.AttachRecorder(cfg.Recorder)
+	if dr, ok := policy.(DecisionReporter); ok {
+		if feed := decisionFeed(cfg.Recorder, cfg.Tracer, r.runSpan); feed != nil {
+			dr.ReportDecisions(feed)
 		}
 	}
-	if cfg.Tracer != nil {
-		if ta, ok := policy.(TracerAttacher); ok {
-			ta.AttachTracer(cfg.Tracer, r.runSpan)
-		}
-	}
-	if cfg.LearningObserver != nil {
-		if la, ok := policy.(LearningAttacher); ok {
-			r.learn = rl.NewLearningSampler(0)
-			la.AttachLearningSampler(r.learn)
-		}
+	la, learns := policy.(LearningAttacher)
+	if cfg.LearningObserver != nil && learns {
+		r.learn = rl.NewLearningSampler(0)
+		la.AttachLearningSampler(r.learn)
 	}
 	r.guard = newRunGuard(cfg, policy.Name()+"/"+work.Name())
 	r.windows = newWindowAgg(cfg, r.runSpan)
@@ -258,22 +231,14 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, er
 		capacity := traceCapacity(cfg, work)
 		r.mt = trace.NewMultiTraceCap(r.p.NumCores(), cfg.RecordIntervalS, capacity)
 		r.pt = trace.NewMultiTraceCap(r.p.NumCores(), cfg.RecordIntervalS, capacity)
-		if r.learn != nil {
-			if _, ok := policy.(DecisionInfoProvider); ok {
-				r.at = newScalarCollector(cfg, r.p.NumCores())
-			}
-		}
 	}
 	if r.learn != nil {
-		if dp, ok := policy.(DecisionInfoProvider); ok {
-			feed := r.sc
-			if feed == nil {
-				feed = r.at
-			}
-			if feed != nil {
-				armAttribution(feed.accs, dp, r.learn)
-			}
+		attr := r.sc
+		if attr == nil {
+			r.at = newScalarCollector(cfg, r.p.NumCores())
+			attr = r.at
 		}
+		armAttribution(attr.accs, la, r.learn)
 	}
 	return r, nil
 }
@@ -332,13 +297,6 @@ func (r *runState) finish() *Result {
 	if r.windows != nil {
 		r.windows.flush(p.Now())
 	}
-	if cfg.AgentObserver != nil {
-		if ap, ok := r.policy.(AgentProvider); ok {
-			if a := ap.LearningAgent(); a != nil {
-				cfg.AgentObserver(a)
-			}
-		}
-	}
 	if r.at != nil {
 		// Flush the attribution feed's residual half cycles (attributed to
 		// the final decision, the one still in force when the run ended).
@@ -347,7 +305,10 @@ func (r *runState) finish() *Result {
 	res := collect(*cfg, p, r.mt, r.pt, r.sc, r.policy.Name(), r.work.Name())
 	if r.learn != nil {
 		r.learn.Finalize()
-		cfg.LearningObserver(r.policy.Name(), r.work.Name(), r.learn)
+		cfg.LearningObserver(rl.RunCurve{
+			Policy: r.policy.Name(), Workload: r.work.Name(),
+			Points: r.learn.Points(), Summary: r.learn.Summary(),
+		}, r.policy)
 	}
 	if r.guard != nil {
 		r.guard.finals(res)
@@ -586,12 +547,12 @@ func (sc *scalarCollector) drain(cfg RunConfig) {
 
 // armAttribution points every core accumulator's cycle hook at the sampler,
 // pinning each closing cycle's stress delta to the decision in force.
-func armAttribution(accs []*reliability.MTTFAccumulator, dp DecisionInfoProvider, learn *rl.LearningSampler) {
+func armAttribution(accs []*reliability.MTTFAccumulator, la LearningAttacher, learn *rl.LearningSampler) {
 	for c := range accs {
 		core := c
 		accs[core].SetOnCycle(func(_ reliability.Cycle, stressDelta float64) {
 			if stressDelta > 0 {
-				_, action := dp.CurrentDecision()
+				_, action := la.CurrentDecision()
 				learn.ObserveCycleDamage(core, action, stressDelta)
 			}
 		})

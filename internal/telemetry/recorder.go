@@ -43,8 +43,8 @@ type DecisionEvent struct {
 	// State and Action are the Q-table indices used this epoch.
 	State  int `json:"state"`
 	Action int `json:"action"`
-	// Reward is the Eq. 8 value granted for the previous action (0 on the
-	// first epoch, which has no previous action).
+	// Reward is the Eq. 8 value granted for the previous action (NaN on the
+	// first epoch, which has no previous action; Record stores it as 0).
 	Reward float64 `json:"reward"`
 	// Alpha is the learning rate after the epoch.
 	Alpha float64 `json:"alpha"`
@@ -59,6 +59,25 @@ type DecisionEvent struct {
 	// SwitchDetected marks epochs where the variation detector fired
 	// (q_reset, snapshot_restore and adopt events).
 	SwitchDetected bool `json:"switch_detected,omitempty"`
+}
+
+// SpanAttrs renders the event as its epoch span's attributes, in the span's
+// fixed key order. The reward is kept as given, so the first epoch's NaN
+// reward renders as the string "NaN" (Record stores it as 0).
+func (ev DecisionEvent) SpanAttrs() []Attr {
+	return []Attr{
+		Num("epoch", float64(ev.Epoch)),
+		Num("time_s", ev.TimeS),
+		Str("workload", ev.Workload),
+		Num("state", float64(ev.State)),
+		Num("action", float64(ev.Action)),
+		Num("reward", ev.Reward),
+		Num("alpha", ev.Alpha),
+		Str("phase", ev.Phase),
+		Bool("explored", ev.Explored),
+		Str("event", ev.Kind),
+		Bool("switch_detected", ev.SwitchDetected),
+	}
 }
 
 // DefaultRecorderCapacity bounds a recorder when the caller passes a
