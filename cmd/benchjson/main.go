@@ -20,6 +20,12 @@
 // (fractional, default 0.20 = 20%). Benchmarks present on only one side are
 // reported but never fail the run, so the baseline can lag the benchmark set.
 //
+// The summary also records the host the numbers were measured on, under the
+// reserved key "host": the goos, goarch and cpu header lines of the bench
+// output, the GOMAXPROCS suffix of the benchmark names and the Go version
+// that ran benchjson. -compare skips that key (and loads baselines written
+// before it existed), reporting both hosts next to the deltas.
+//
 // -only restricts the parsed set to benchmarks matching a regexp, so a gate
 // can target one benchmark out of a full sweep. When -o and -compare are
 // combined, each written result additionally records its ns/op delta against
@@ -37,6 +43,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,6 +62,44 @@ type result struct {
 	// "agingMTTFgain_x") so a benchmark's headline numbers survive into the
 	// summary file alongside the timing columns. Never gated on.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// hostKey is the reserved summary key holding the host metadata; benchmark
+// names all start with "Benchmark", so it cannot collide with one.
+const hostKey = "host"
+
+// host identifies the machine and toolchain a summary was measured on.
+type host struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Go         string `json:"go,omitempty"`
+}
+
+// String renders the host on one line for the comparison report.
+func (h host) String() string {
+	return fmt.Sprintf("%s/%s, %s, GOMAXPROCS=%d, %s", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS, h.Go)
+}
+
+// parseHeader records a `go test -bench` header line ("goos: linux",
+// "cpu: ...") into h, reporting whether the line was one.
+func (h *host) parseHeader(line string) bool {
+	key, val, ok := strings.Cut(line, ": ")
+	if !ok {
+		return false
+	}
+	switch key {
+	case "goos":
+		h.GOOS = val
+	case "goarch":
+		h.GOARCH = val
+	case "cpu":
+		h.CPU = val
+	default:
+		return false
+	}
+	return true
 }
 
 func main() {
@@ -92,20 +137,12 @@ func main() {
 		}
 	}
 
-	results := map[string]result{}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if echo {
-			fmt.Println(line)
-		}
-		name, r, ok := parseBenchLine(line)
-		if ok && (keep == nil || keep.MatchString(name)) {
-			results[name] = r
-		}
+	var echoTo io.Writer
+	if echo {
+		echoTo = os.Stdout
 	}
-	if err := sc.Err(); err != nil {
+	results, h, err := parse(in, echoTo, keep)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -114,7 +151,7 @@ func main() {
 	// overhead against the baseline, then gate after the file is on disk.
 	compareOK := true
 	if *compare != "" {
-		compareOK = compareBaseline(os.Stderr, *compare, results, *threshold, *gateNS)
+		compareOK = compareBaseline(os.Stderr, *compare, results, h, *threshold, *gateNS)
 		if !compareOK && *reportOnly {
 			fmt.Fprintln(os.Stderr, "benchjson: -report-only — regression reported above, not gating")
 			compareOK = true
@@ -127,7 +164,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		writeSummary(f, results)
+		writeSummary(f, results, h)
 		f.Close()
 	} else if *compare == "" {
 		if echo {
@@ -135,7 +172,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: no -o file; JSON summary suppressed in pipe mode")
 			return
 		}
-		writeSummary(os.Stdout, results)
+		writeSummary(os.Stdout, results, h)
 	}
 
 	if !compareOK {
@@ -143,12 +180,46 @@ func main() {
 	}
 }
 
-// writeSummary encodes the results map as indented JSON.
-func writeSummary(w io.Writer, results map[string]result) {
+// parse reads `go test -bench` output, echoing every line to echo when it is
+// non-nil, and returns the benchmarks kept by keep (all when nil) with the
+// host they ran on. The Go version is benchjson's own: `make bench` runs it
+// with the toolchain that ran the benchmarks.
+func parse(in io.Reader, echo io.Writer, keep *regexp.Regexp) (map[string]result, host, error) {
+	results := map[string]result{}
+	h := host{Go: runtime.Version()}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if echo != nil {
+			fmt.Fprintln(echo, line)
+		}
+		if h.parseHeader(line) {
+			continue
+		}
+		name, r, ok := parseBenchLine(line)
+		if ok && (keep == nil || keep.MatchString(name)) {
+			results[name] = r
+			if _, procs := splitProcs(strings.Fields(line)[0]); procs > 0 {
+				h.GOMAXPROCS = procs
+			}
+		}
+	}
+	return results, h, sc.Err()
+}
+
+// writeSummary encodes the results map, plus the host under hostKey, as
+// indented JSON.
+func writeSummary(w io.Writer, results map[string]result, h host) {
+	out := make(map[string]any, len(results)+1)
+	for name, r := range results {
+		out[name] = r
+	}
+	out[hostKey] = h
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	// encoding/json sorts map keys, so summary files diff cleanly across runs.
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -158,18 +229,24 @@ func writeSummary(w io.Writer, results map[string]result) {
 // per-benchmark deltas, annotating each overlapping entry in results with its
 // ns/op delta (VsBaseNsPct). It returns false if any benchmark present in
 // both regressed beyond the threshold on ns/op or — unless nsOnly — on
-// allocs/op.
-func compareBaseline(w io.Writer, path string, results map[string]result, threshold float64, nsOnly bool) bool {
+// allocs/op. The baseline's host entry is reported, never compared.
+func compareBaseline(w io.Writer, path string, results map[string]result, h host, threshold float64, nsOnly bool) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(w, "benchjson:", err)
 		return false
 	}
-	base := map[string]result{}
-	if err := json.Unmarshal(data, &base); err != nil {
+	base, baseHost, err := decodeSummary(data)
+	if err != nil {
 		fmt.Fprintf(w, "benchjson: parsing %s: %v\n", path, err)
 		return false
 	}
+	if baseHost != nil {
+		fmt.Fprintf(w, "benchjson: baseline host: %v\n", *baseHost)
+	} else {
+		fmt.Fprintln(w, "benchjson: baseline host: not recorded")
+	}
+	fmt.Fprintf(w, "benchjson: this host:     %v\n", h)
 	names := make([]string, 0, len(results))
 	for name := range results {
 		names = append(names, name)
@@ -216,6 +293,32 @@ func compareBaseline(w io.Writer, path string, results map[string]result, thresh
 	return ok
 }
 
+// decodeSummary parses a summary file into its benchmarks and, when the file
+// records one, its host.
+func decodeSummary(data []byte) (map[string]result, *host, error) {
+	raw := map[string]json.RawMessage{}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, nil, err
+	}
+	var h *host
+	if msg, ok := raw[hostKey]; ok {
+		h = new(host)
+		if err := json.Unmarshal(msg, h); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", hostKey, err)
+		}
+		delete(raw, hostKey)
+	}
+	base := make(map[string]result, len(raw))
+	for name, msg := range raw {
+		var r result
+		if err := json.Unmarshal(msg, &r); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
+		}
+		base[name] = r
+	}
+	return base, h, nil
+}
+
 // regressed reports whether the new value exceeds the old by more than the
 // fractional threshold. A zero/negative old value can't regress (nothing to
 // be slower than for allocs already at 0 only if new is also 0).
@@ -234,6 +337,17 @@ func deltaStr(old, new float64) string {
 	return fmt.Sprintf("%.0f -> %.0f (%+.1f%%)", old, new, 100*(new-old)/old)
 }
 
+// splitProcs splits the -GOMAXPROCS suffix off a benchmark name, returning
+// 0 procs when the name carries none.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 0
+}
+
 // parseBenchLine extracts one "BenchmarkName-N  iters  X ns/op [Y B/op  Z
 // allocs/op]" line; anything else reports ok = false.
 func parseBenchLine(line string) (string, result, bool) {
@@ -244,13 +358,8 @@ func parseBenchLine(line string) (string, result, bool) {
 	if len(fields) < 4 {
 		return "", result{}, false
 	}
-	name := fields[0]
 	// Strip the -GOMAXPROCS suffix so keys are stable across machines.
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
+	name, _ := splitProcs(fields[0])
 	var r result
 	var seen bool
 	for i := 2; i+1 < len(fields); i += 2 {

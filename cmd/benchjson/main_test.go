@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	name, r, ok := parseBenchLine("BenchmarkRunTraceOff-8   \t     100\t  11022338 ns/op\t  131072 B/op\t      52 allocs/op")
@@ -62,5 +69,55 @@ func TestParseBenchLineKeepsNonNumericSuffix(t *testing.T) {
 	name, _, ok := parseBenchLine("BenchmarkRun/trace-off 100 50 ns/op")
 	if !ok || name != "BenchmarkRun/trace-off" {
 		t.Errorf("name = %q ok=%v (non-GOMAXPROCS dash must survive)", name, ok)
+	}
+}
+
+const hostBench = `goos: linux
+goarch: amd64
+pkg: repro/internal/sim
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkSimRunProposed-2   	    2000	    570000 ns/op	   12000 B/op	      40 allocs/op
+PASS
+`
+
+// TestHostRecordedAndSkippedByCompare checks that a summary records the bench
+// header's host under the reserved key, and that -compare loads it (and a
+// baseline written before the key existed) without comparing it.
+func TestHostRecordedAndSkippedByCompare(t *testing.T) {
+	results, h, err := parse(strings.NewReader(hostBench), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := host{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 2, Go: runtime.Version()}
+	if h != want {
+		t.Errorf("host = %+v, want %+v", h, want)
+	}
+	if _, ok := results[hostKey]; ok || len(results) != 1 {
+		t.Fatalf("results = %v, want only the benchmark", results)
+	}
+
+	dir := t.TempDir()
+	var summary bytes.Buffer
+	writeSummary(&summary, results, h)
+	withHost := filepath.Join(dir, "with-host.json")
+	legacy := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(withHost, summary.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(`{"BenchmarkSimRunProposed": {"ns_per_op": 570000, "allocs_per_op": 40}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{withHost, legacy} {
+		var report bytes.Buffer
+		if !compareBaseline(&report, path, results, h, 0.2, false) {
+			t.Errorf("%s: compare failed:\n%s", filepath.Base(path), report.String())
+		}
+		if out := report.String(); strings.Contains(out, "  "+hostKey+" ") || !strings.Contains(out, "1 benchmark(s) within") {
+			t.Errorf("%s: report compared the host entry or missed the benchmark:\n%s", filepath.Base(path), out)
+		}
+	}
+	base, baseHost, err := decodeSummary(summary.Bytes())
+	if err != nil || baseHost == nil || *baseHost != want || len(base) != 1 {
+		t.Errorf("decodeSummary = %v, %+v, %v", base, baseHost, err)
 	}
 }

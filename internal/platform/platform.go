@@ -161,18 +161,27 @@ type Platform struct {
 	// tracker per core; see power.LeakageTracker).
 	leak []power.LeakageTracker
 
-	// scratch buffers
+	// powerVec is the thermal network's power input; its non-core entries
+	// stay zero. coreTemps backs Temperatures. dynPow is CorePower.
 	powerVec  []float64
 	coreTemps []float64
 	dynPow    []float64
-	freqs     []float64
-	// coreVolt[c] is the supply voltage of core c's current level (refreshed
-	// together with freqs); leakW is the bulk leakage-power scratch.
-	coreVolt []float64
-	leakW    []float64
+	// freqs[c] and coreLvl[c] are the frequency and operating point of core
+	// c's current level, refreshed when freqsDirty.
+	freqs   []float64
+	coreLvl []power.Level
 	// freqsDirty marks that a coreLevel changed and freqs must be refilled
 	// from levelFreq before the next scheduler tick.
 	freqsDirty bool
+
+	// The last full tick's activity-dependent terms: each core's dynamic
+	// power and busy time, and the dynamic total. A steady-window tick at
+	// unchanged levels reuses them (see Step).
+	dynW, busyDt []float64
+	dynTotal     float64
+	// workChanged records that the last Workload.Step reported a change, so
+	// the next Step may not be skipped.
+	workChanged bool
 }
 
 // New builds a platform executing the given workload. The workload's current
@@ -236,15 +245,17 @@ func build(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 		coreTemps:    make([]float64, n),
 		dynPow:       make([]float64, n),
 		freqs:        make([]float64, n),
-		coreVolt:     make([]float64, n),
-		leakW:        make([]float64, n),
+		coreLvl:      make([]power.Level, n),
+		dynW:         make([]float64, n),
+		busyDt:       make([]float64, n),
 		levelFreq:    make([]float64, len(cfg.Levels)),
 		levelDynCoef: make([]float64, len(cfg.Levels)),
 		leak:         make([]power.LeakageTracker, n),
 		// The initial thread installation is not an application switch.
 		appSwitches: -1,
 		// Force the initial freqs fill on the first Step.
-		freqsDirty: true,
+		freqsDirty:  true,
+		workChanged: true,
 	}
 	if cfg.CorePowerScale != nil && len(cfg.CorePowerScale) != n {
 		panic(fmt.Sprintf("platform: CorePowerScale has %d entries for %d cores", len(cfg.CorePowerScale), n))
@@ -428,7 +439,18 @@ func sameThreads(a, b []*workload.Thread) bool {
 	return true
 }
 
-// Step advances the platform by one tick.
+// Step advances the platform by one tick: governors at their cadence, the
+// scheduler, workload bookkeeping, then one pass over the core nodes that
+// turns activity and temperature into power, and the thermal step.
+//
+// Inside the scheduler's steady window a tick replays the previous tick's
+// activity and busy flags and no thread crosses a phase boundary. So when
+// no DVFS level changed either, each core's dynamic power and busy time are
+// the last full tick's, and the workload's bookkeeping is skipped while its
+// last Step changed nothing (see workload.Workload). Every reused value was
+// computed by the same operations from the same inputs, so the tick is
+// bit-identical to recomputing it; leakage, the accumulators and the
+// thermal step still run every tick.
 func (p *Platform) Step() {
 	dt := p.cfg.TickS
 
@@ -450,16 +472,23 @@ func (p *Platform) Step() {
 
 	// Scheduler tick at current frequencies. freqs only needs refilling
 	// when some core's DVFS level actually changed.
+	levelsChanged := p.freqsDirty
 	if p.freqsDirty {
 		for c, l := range p.coreLevel {
 			p.freqs[c] = p.levelFreq[l]
-			p.coreVolt[c] = p.cfg.Levels[l].VoltageV
+			p.coreLvl[c] = p.cfg.Levels[l]
 		}
 		p.freqsDirty = false
 	}
 	stats := p.sch.Tick(dt, p.freqs)
-	p.work.Step()
-	p.installThreads()
+	// A replayed tick crossed no phase boundary, so after a Step that
+	// changed nothing the workload's Step would change nothing again.
+	if !stats.Replayed || p.workChanged {
+		p.workChanged = p.work.Step()
+		if p.workChanged {
+			p.installThreads()
+		}
+	}
 
 	// Charge migration counter costs.
 	if m := p.sch.Migrations(); m != p.lastMigrations {
@@ -469,15 +498,42 @@ func (p *Platform) Step() {
 		p.lastMigrations = m
 	}
 
-	// Power from activity and temperature; then thermal step.
-	temps := p.Temperatures()
-	// Bulk-evaluate the per-core leakage through the incremental trackers
-	// (one call per tick instead of one per core; see power.LeakagePowers).
-	power.LeakagePowers(p.leak, p.coreVolt, temps, p.leakW)
-	var dynTotal, statTotal float64
+	// A replayed tick at unchanged levels has the last full tick's dynamic
+	// power and busy time.
+	if !stats.Replayed || levelsChanged {
+		p.activityPower(stats, dt)
+	}
+	// One pass over the core nodes: advance each core's leakage tracker at
+	// its current temperature and inject dynamic plus leakage power.
+	// powerVec's non-core entries are zero from construction and never
+	// written.
+	temps := p.solver.Temperatures()
+	var statTotal float64
+	for c, node := range p.fp.Cores {
+		tr, lvl, t := &p.leak[c], p.coreLvl[c], temps[node]
+		leak, ok := tr.Advance(lvl, t)
+		if !ok {
+			leak = tr.Power(lvl, t)
+		}
+		w := p.dynW[c] + leak
+		p.dynPow[c] = w
+		p.powerVec[node] = w
+		statTotal += leak
+		p.busyAccum[c] += p.busyDt[c]
+	}
+	if err := p.solver.Step(dt, p.powerVec); err != nil {
+		panic(err) // sizes are fixed at construction; cannot happen
+	}
+	p.meter.Accumulate(p.dynTotal, statTotal, dt)
+	p.now += dt
+}
+
+// activityPower recomputes each core's dynamic power and busy time from the
+// scheduler's activity stats at the current levels, and their dynamic total.
+func (p *Platform) activityPower(stats *sched.TickStats, dt float64) {
 	floor := p.cfg.Power.ActivityFloor
-	for c := range p.dynPow {
-		li := p.coreLevel[c]
+	var total float64
+	for c := range p.dynW {
 		// Inline power.Model.DynamicPower using the cached per-level
 		// coefficient.
 		a := stats.CoreActivity[c]
@@ -486,23 +542,12 @@ func (p *Platform) Step() {
 		} else if a > 1 {
 			a = 1
 		}
-		dyn := p.levelDynCoef[li] * a * p.powerScale[c]
-		leak := p.leakW[c]
-		p.dynPow[c] = dyn + leak
-		dynTotal += dyn
-		statTotal += leak
-		p.busyAccum[c] += stats.CoreBusy[c] * dt
+		dyn := p.levelDynCoef[p.coreLevel[c]] * a * p.powerScale[c]
+		p.dynW[c] = dyn
+		total += dyn
+		p.busyDt[c] = stats.CoreBusy[c] * dt
 	}
-	// powerVec's non-core entries are zero from construction and never
-	// written, so only the core entries need refreshing each tick.
-	for i, node := range p.fp.Cores {
-		p.powerVec[node] = p.dynPow[i]
-	}
-	if err := p.solver.Step(dt, p.powerVec); err != nil {
-		panic(err) // sizes are fixed at construction; cannot happen
-	}
-	p.meter.Accumulate(dynTotal, statTotal, dt)
-	p.now += dt
+	p.dynTotal = total
 }
 
 // Done reports whether the workload has finished.

@@ -47,20 +47,31 @@ func NewLeakageTracker(m Model) LeakageTracker {
 // temperature (degrees Celsius), matching Model.LeakagePower to within the
 // tracker's documented tolerance.
 func (tr *LeakageTracker) Power(l Level, tempC float64) float64 {
+	if w, ok := tr.Advance(l, tempC); ok {
+		return w
+	}
+	return tr.refresh(l, tempC)
+}
+
+// Advance is Power's incremental path, small enough to inline into a
+// per-core loop: it advances the cached exponential to tempC and returns the
+// leakage power at level l, (V·I0)·factor. When an exact refresh is due
+// instead (every leakRefreshInterval calls, or a step beyond leakMaxDelta)
+// it returns ok = false and leaves the tracker unchanged; the caller then
+// calls Power.
+func (tr *LeakageTracker) Advance(l Level, tempC float64) (w float64, ok bool) {
 	d := tr.m.LeakBeta * (tempC - tr.temp)
 	if tr.left <= 0 || d > leakMaxDelta || d < -leakMaxDelta {
-		return tr.refresh(l, tempC)
+		return 0, false
 	}
 	tr.factor *= 1 + d*(1+d*(0.5+d*(1.0/6)))
 	tr.temp = tempC
 	tr.left--
-	return l.VoltageV * tr.m.LeakI0 * tr.factor
+	return l.VoltageV * tr.m.LeakI0 * tr.factor, true
 }
 
-// refresh recomputes the exponential exactly; kept out of Power so the
-// common incremental path stays within the inlining budget.
-//
-//go:noinline
+// refresh recomputes the exponential exactly: Power's path when Advance
+// declines.
 func (tr *LeakageTracker) refresh(l Level, tempC float64) float64 {
 	tr.factor = math.Exp(tr.m.LeakBeta * (tempC - tr.m.LeakTrefC))
 	tr.left = leakRefreshInterval - 1
@@ -74,25 +85,4 @@ func (tr *LeakageTracker) Reset() {
 	tr.left = 0
 	tr.temp = 0
 	tr.factor = 0
-}
-
-// LeakagePowers evaluates one tracker per core in bulk: dst[i] receives the
-// leakage power at voltage voltV[i] and temperature tempC[i]. Bulk evaluation
-// keeps the per-core incremental update in one loop body instead of paying a
-// function call per core on the simulation hot path. All slices must have
-// len(trs) entries.
-func LeakagePowers(trs []LeakageTracker, voltV, tempC, dst []float64) {
-	for i := range trs {
-		tr := &trs[i]
-		d := tr.m.LeakBeta * (tempC[i] - tr.temp)
-		if tr.left <= 0 || d > leakMaxDelta || d < -leakMaxDelta {
-			tr.factor = math.Exp(tr.m.LeakBeta * (tempC[i] - tr.m.LeakTrefC))
-			tr.left = leakRefreshInterval
-		} else {
-			tr.factor *= 1 + d*(1+d*(0.5+d*(1.0/6)))
-		}
-		tr.temp = tempC[i]
-		tr.left--
-		dst[i] = voltV[i] * tr.m.LeakI0 * tr.factor
-	}
 }

@@ -41,36 +41,6 @@ func TestLeakageTrackerLargeJump(t *testing.T) {
 	}
 }
 
-// TestLeakagePowersMatchesScalar checks the bulk evaluator agrees exactly
-// with per-tracker Power calls over a varying trajectory.
-func TestLeakagePowersMatchesScalar(t *testing.T) {
-	m := DefaultModel()
-	levels := DefaultLevels()
-	const n = 4
-	bulk := make([]LeakageTracker, n)
-	scalar := make([]LeakageTracker, n)
-	for i := range bulk {
-		bulk[i] = NewLeakageTracker(m)
-		scalar[i] = NewLeakageTracker(m)
-	}
-	volts := make([]float64, n)
-	temps := make([]float64, n)
-	dst := make([]float64, n)
-	for step := 0; step < 500; step++ {
-		for c := 0; c < n; c++ {
-			volts[c] = levels[(step/97+c)%len(levels)].VoltageV
-			temps[c] = 40 + 10*math.Sin(float64(step+13*c)/40)
-		}
-		LeakagePowers(bulk, volts, temps, dst)
-		for c := 0; c < n; c++ {
-			want := scalar[c].Power(Level{VoltageV: volts[c]}, temps[c])
-			if dst[c] != want {
-				t.Fatalf("step %d core %d: bulk %.17g vs scalar %.17g", step, c, dst[c], want)
-			}
-		}
-	}
-}
-
 // TestLeakageTrackerReset checks Reset forces the next call exact.
 func TestLeakageTrackerReset(t *testing.T) {
 	m := DefaultModel()
@@ -84,5 +54,39 @@ func TestLeakageTrackerReset(t *testing.T) {
 	want := m.LeakagePower(l, 51)
 	if got != want {
 		t.Fatalf("after Reset: tracker %.17g vs exact %.17g", got, want)
+	}
+}
+
+// TestLeakageTrackerAdvanceRefreshRule pins the refresh rule Advance
+// enforces: the first call and every 32nd call after a refresh are exact, as
+// is a step beyond leakMaxDelta, and a declined Advance leaves the tracker as it
+// was, so the Power that follows gives the same bits as a single Power call.
+func TestLeakageTrackerAdvanceRefreshRule(t *testing.T) {
+	m := DefaultModel()
+	l := DefaultLevels()[3]
+	tr, ref := NewLeakageTracker(m), NewLeakageTracker(m)
+	temp, sinceRefresh := 50.0, leakRefreshInterval
+	for call := 0; call < 120; call++ {
+		temp += 0.01
+		jump := call == 70
+		if jump {
+			temp += 1.5 * leakMaxDelta / m.LeakBeta // past the expansion's range
+		}
+		before := tr
+		w, ok := tr.Advance(l, temp)
+		if due := sinceRefresh == leakRefreshInterval || jump; ok == due {
+			t.Fatalf("call %d: Advance ok = %v, refresh due = %v", call, ok, due)
+		}
+		sinceRefresh++
+		if !ok {
+			sinceRefresh = 1
+			if tr != before {
+				t.Fatalf("call %d: declined Advance changed the tracker", call)
+			}
+			w = tr.Power(l, temp)
+		}
+		if want := ref.Power(l, temp); w != want {
+			t.Fatalf("call %d: Advance/Power %.17g, Power %.17g", call, w, want)
+		}
 	}
 }

@@ -98,6 +98,11 @@ type TickStats struct {
 	CoreBusy []float64
 	// WorkDone is the total work executed this tick, giga-cycles.
 	WorkDone float64
+	// Replayed reports a steady-window tick: CoreActivity and CoreBusy hold
+	// the previous tick's values unchanged and no thread crossed a phase
+	// boundary. A tick whose advance falls back to the full path (float
+	// drift at a phase boundary) is not replayed.
+	Replayed bool
 }
 
 // Scheduler owns thread placement. It is not safe for concurrent use.
@@ -140,12 +145,11 @@ type Scheduler struct {
 	// tick arms a window of such ticks; external mutations (SetThreads,
 	// SetAffinity, AddStall) and any frequency change end it early.
 	steady      bool
-	steadyLeft  int       // fast ticks remaining in the armed window
-	steadyDt    float64   // tick size the window was armed for
-	steadyWork  float64   // WorkDone of one steady tick
-	steadyFreqs []float64 // frequency vector the window was armed for
-	steadyAmt   []float64 // per-thread Advance amount per tick
-	steadyIdx   []int     // threads that advance during the window
+	steadyLeft  int            // fast ticks remaining in the armed window
+	steadyDt    float64        // tick size the window was armed for
+	steadyWork  float64        // WorkDone of one steady tick
+	steadyFreqs []float64      // frequency vector the window was armed for
+	steadyRun   []steadyThread // threads that advance during the window
 	// tickMutated records that the current slow tick changed scheduling
 	// state in a way that makes the next tick differ from this one: a stall
 	// was consumed, a thread left the runnable set (finished or reached a
@@ -219,8 +223,7 @@ func (s *Scheduler) SetThreads(threads []*workload.Thread) {
 	for l := 1; l < len(s.recip); l++ {
 		s.recip[l] = 1 / float64(l)
 	}
-	s.steadyAmt = make([]float64, len(threads))
-	s.steadyIdx = make([]int, 0, len(threads))
+	s.steadyRun = make([]steadyThread, 0, len(threads))
 	s.steady = false
 	for i := range s.placement {
 		s.placement[i] = -1
@@ -341,13 +344,15 @@ func (s *Scheduler) Tick(dt float64, freqGHz []float64) *TickStats {
 			}
 		}
 		if ok {
-			for _, i := range s.steadyIdx {
-				if !s.threads[i].AdvanceWithin(s.steadyAmt[i]) {
+			s.stats.Replayed = true
+			for _, r := range s.steadyRun {
+				if !r.th.AdvanceWithin(r.amt) {
 					// A phase boundary inside the window despite the margin
 					// (float drift): run the full advance and end the window
 					// so the next tick recomputes.
-					s.threads[i].Advance(s.steadyAmt[i])
+					r.th.Advance(r.amt)
 					s.steady = false
+					s.stats.Replayed = false
 				}
 			}
 			s.stats.WorkDone = s.steadyWork
@@ -373,6 +378,7 @@ func (s *Scheduler) Tick(dt float64, freqGHz []float64) *TickStats {
 	}
 
 	s.tickMutated = false
+	s.stats.Replayed = false
 	// s.stats.CoreActivity/CoreBusy permanently alias s.act/s.busy (set in
 	// New); only the scalar accumulators need resetting here. Rebuilding the
 	// struct would store slice headers through the GC write barrier on every
@@ -456,7 +462,7 @@ func (s *Scheduler) armSteady(dt float64, freqGHz []float64) {
 	if s.cfg.BalanceInterval > 0 {
 		k = int((s.cfg.BalanceInterval-s.sinceBalance)/dt) - 1
 	}
-	s.steadyIdx = s.steadyIdx[:0]
+	s.steadyRun = s.steadyRun[:0]
 	for i, th := range s.threads {
 		if th.Done() {
 			continue
@@ -465,7 +471,7 @@ func (s *Scheduler) armSteady(dt float64, freqGHz []float64) {
 			// A waiting thread contributes nothing and cannot wake during
 			// the window: release requires every non-done thread at the
 			// barrier, and the margin below keeps the running ones (there is
-			// at least one, or steadyIdx stays empty and we refuse) from
+			// at least one, or steadyRun stays empty and we refuse) from
 			// finishing their phase.
 			continue
 		}
@@ -481,23 +487,29 @@ func (s *Scheduler) armSteady(dt float64, freqGHz []float64) {
 		if kp < k {
 			k = kp
 		}
-		s.steadyIdx = append(s.steadyIdx, i)
-		s.steadyAmt[i] = amt
+		s.steadyRun = append(s.steadyRun, steadyThread{th, amt})
 	}
-	if k < 1 || len(s.steadyIdx) == 0 {
+	if k < 1 || len(s.steadyRun) == 0 {
 		return
 	}
 	// WorkDone of a steady tick, accumulated in the same thread order as the
 	// slow path so the float result is bit-identical.
 	var wd float64
-	for _, i := range s.steadyIdx {
-		wd += s.steadyAmt[i]
+	for _, r := range s.steadyRun {
+		wd += r.amt
 	}
 	s.steady = true
 	s.steadyLeft = k
 	s.steadyDt = dt
 	s.steadyWork = wd
 	copy(s.steadyFreqs, freqGHz)
+}
+
+// steadyThread is one thread that advances during a steady window, with its
+// per-tick Advance amount.
+type steadyThread struct {
+	th  *workload.Thread
+	amt float64
 }
 
 // balance migrates one thread from the busiest core to the idlest core if

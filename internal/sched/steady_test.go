@@ -125,3 +125,36 @@ func TestSteadyFastPathEngages(t *testing.T) {
 		t.Fatalf("fast tick did not consume the window: left %d, want %d", s.steadyLeft, armed-1)
 	}
 }
+
+// TestTickReportsReplayed checks the Replayed flag the platform keys its
+// reuse on: set on steady-window ticks only, cleared on a full tick, on a
+// frequency change and on a window tick that falls back to the full advance
+// because a thread reached its phase boundary.
+func TestTickReportsReplayed(t *testing.T) {
+	s := New(DefaultConfig())
+	threads := []*workload.Thread{
+		workload.NewThread(0, "x", []workload.Phase{{Kind: workload.Burst, Work: 1000, Activity: 0.9}, {Kind: workload.Burst, Work: 1000, Activity: 0.5}}),
+		workload.NewThread(1, "x", []workload.Phase{{Kind: workload.Burst, Work: 1000, Activity: 0.9}}),
+	}
+	s.SetThreads(threads)
+	freq := []float64{2.4, 2.4, 2.4, 2.4}
+	tick := func(want bool, what string) {
+		t.Helper()
+		if got := s.Tick(0.01, freq).Replayed; got != want {
+			t.Fatalf("%s: Replayed = %v, want %v", what, got, want)
+		}
+	}
+	tick(false, "first tick")
+	tick(true, "window tick")
+	freq[1] = 2.8
+	tick(false, "frequency change")
+	tick(true, "window re-armed at the new frequency")
+	// Leave thread 0 less than one tick of work in its phase: the window's
+	// next advance crosses the boundary and must fall back.
+	threads[0].Advance(threads[0].RemainingInPhase() - 1e-6)
+	tick(false, "fallback at a phase boundary")
+	if threads[0].PhaseIndex() != 1 {
+		t.Fatalf("thread 0 in phase %d after the fallback, want 1", threads[0].PhaseIndex())
+	}
+	tick(false, "full tick after the fallback")
+}

@@ -152,8 +152,14 @@ func (s *FixedStepper) Step(dt float64, p []float64) error {
 		// The paper's quad-core chip (4 cores + spreader + sink) is the
 		// dominant configuration; a fully unrolled kernel with the same
 		// accumulation order as the generic loop below is bit-identical and
-		// roughly halves the per-step cost.
-		s.step6((*[6]float64)(p))
+		// roughly halves the per-step cost. The platform injects power only
+		// at the cores, so on every platform tick the spreader and sink
+		// entries are zero and the kernel that drops them runs.
+		if pp := (*[6]float64)(p); pp[4] == 0 && pp[5] == 0 {
+			s.step6Cores(pp)
+		} else {
+			s.step6(pp)
+		}
 		return nil
 	}
 	// Reslice to the common length once so the compiler drops the bounds
@@ -213,4 +219,30 @@ func (s *FixedStepper) step6(p *[6]float64) {
 	n4 := row6((*[12]float64)(ab[48:60]), t, p, c[4])
 	n5 := row6((*[12]float64)(ab[60:72]), t, p, c[5])
 	t[0], t[1], t[2], t[3], t[4], t[5] = n0, n1, n2, n3, n4, n5
+}
+
+// step6Cores is step6 for a power vector whose spreader and sink entries
+// (p[4] and p[5]) are zero. It drops their products r[10]*p[4] and
+// r[11]*p[5], which are ±0, and keeps every other operation in step6's
+// order. Adding ±0 leaves a float64 unchanged unless both addends are zeros
+// of opposite sign, so a row can differ from step6's only in the sign of a
+// zero result. On the platform no row is zero: the ambient term c[i] and the
+// core powers are positive. So the two kernels are bit-identical there.
+func (s *FixedStepper) step6Cores(p *[6]float64) {
+	t := (*[6]float64)(s.temps)
+	c := (*[6]float64)(s.c)
+	ab := (*[72]float64)(s.ab)
+	t0, t1, t2, t3, t4, t5 := t[0], t[1], t[2], t[3], t[4], t[5]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	// row is inlined at each constant i below, so the six rows compile to
+	// straight-line code on values held in registers.
+	row := func(i int) float64 {
+		r := (*[12]float64)(ab[12*i:])
+		sa0 := r[0]*t0 + r[2]*t2 + r[4]*t4
+		sa1 := r[1]*t1 + r[3]*t3 + r[5]*t5
+		sb0 := r[6]*p0 + r[8]*p2
+		sb1 := r[7]*p1 + r[9]*p3
+		return c[i] + ((sa0 + sa1) + (sb0 + sb1))
+	}
+	t[0], t[1], t[2], t[3], t[4], t[5] = row(0), row(1), row(2), row(3), row(4), row(5)
 }

@@ -86,6 +86,38 @@ func TestFixedStepperBitIdenticalRepeat(t *testing.T) {
 
 // TestFixedStepperStepErrors covers the argument validation of Step and the
 // constructor.
+// TestFixedStepperCoreKernelBitIdentical drives the quad-core stepper with
+// power at the cores only, which Step routes to the kernel that skips the
+// zero spreader and sink terms, next to a stepper forced through the full
+// kernel, and requires every node temperature to agree bit for bit.
+func TestFixedStepperCoreKernelBitIdentical(t *testing.T) {
+	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
+	if fp.Spreader != 4 || fp.Sink != 5 {
+		t.Fatalf("package nodes at %d, %d; the kernel assumes 4, 5", fp.Spreader, fp.Sink)
+	}
+	cores, err := NewFixedStepper(fp.Net, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewFixedStepper(fp.Net, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]float64, fp.Net.NumNodes())
+	for step := 0; step < 5000; step++ {
+		fixedPowerProfile(fp, step, p)
+		if err := cores.Step(0.01, p); err != nil {
+			t.Fatal(err)
+		}
+		full.step6((*[6]float64)(p))
+		for i, v := range cores.Temperatures() {
+			if math.Float64bits(v) != math.Float64bits(full.temps[i]) {
+				t.Fatalf("step %d node %d: core kernel %.17g, full kernel %.17g", step, i, v, full.temps[i])
+			}
+		}
+	}
+}
+
 func TestFixedStepperStepErrors(t *testing.T) {
 	fp := QuadCoreFloorplan(DefaultFloorplanConfig())
 	s, err := NewFixedStepper(fp.Net, 0.01)

@@ -138,6 +138,9 @@ func (n *Network) MustConnect(i, j int, g float64) {
 // Conductance returns the node-to-node conductance between i and j.
 func (n *Network) Conductance(i, j int) float64 { return n.g[i][j] }
 
+// AmbientConductance returns node i's direct conductance to the ambient.
+func (n *Network) AmbientConductance(i int) float64 { return n.nodes[i].AmbientConductance }
+
 // derivative computes dT/dt for every node given temperatures t (degrees C)
 // and injected power p (W), writing the result into dst.
 func (n *Network) derivative(dst, t, p []float64) {

@@ -9,11 +9,21 @@ type Workload interface {
 	// Name identifies the workload for reports.
 	Name() string
 	// Threads returns the currently active threads. The platform schedules
-	// exactly these; the slice may change after Step (application switch).
+	// exactly these; the slice changes only in a Step that reports a change
+	// (application switch).
 	Threads() []*Thread
-	// Step performs barrier release and application-switch bookkeeping.
-	// It must be called once per simulation tick after work advancement.
-	Step()
+	// Step performs barrier release and application-switch bookkeeping
+	// once per simulation tick, after work advancement, and reports whether
+	// it changed anything: released a barrier or moved to the next
+	// application.
+	//
+	// Both depend only on which threads are done or waiting at a barrier,
+	// and only a thread crossing a phase boundary (Thread.Advance finishing
+	// a phase) changes that. So once a Step reports false, every later Step
+	// reports false and changes nothing until some thread crosses a phase
+	// boundary: a caller that knows no thread has crossed one since may
+	// skip the call, and keep the Threads it holds.
+	Step() bool
 	// Done reports whether the entire workload has completed.
 	Done() bool
 	// CompletedWork returns total executed work in giga-cycles, the basis
@@ -68,24 +78,25 @@ func (a *Application) Threads() []*Thread { return a.threads }
 
 // Step releases barriers: when every unfinished thread is blocked at its
 // barrier (they all share the same script structure), all are released.
-// Finished threads no longer participate.
-func (a *Application) Step() {
+// Finished threads no longer participate. It reports whether it released.
+func (a *Application) Step() bool {
 	anyWaiting := false
 	for _, t := range a.threads {
 		if t.Done() {
 			continue
 		}
 		if !t.AtBarrier() {
-			return // someone is still computing; barrier not complete
+			return false // someone is still computing; barrier not complete
 		}
 		anyWaiting = true
 	}
 	if !anyWaiting {
-		return
+		return false
 	}
 	for _, t := range a.threads {
 		t.ReleaseBarrier()
 	}
+	return true
 }
 
 // Done reports whether every thread has finished.
@@ -174,20 +185,23 @@ func (s *Sequence) Threads() []*Thread { return s.Current().Threads() }
 func (s *Sequence) PerfTarget() float64 { return s.Current().PerfConstraint }
 
 // Step advances barriers of the current application and switches to the next
-// application on completion.
-func (s *Sequence) Step() {
+// application on completion. It reports whether it released a barrier or
+// switched.
+func (s *Sequence) Step() bool {
 	if s.cur >= len(s.apps) {
-		return
+		return false
 	}
 	app := s.apps[s.cur]
-	app.Step()
-	if app.Done() {
-		s.completedBase += app.CompletedWork()
-		s.cur++
-		if s.cur < len(s.apps) && s.SwitchNotify != nil {
-			s.SwitchNotify(s.apps[s.cur])
-		}
+	released := app.Step()
+	if !app.Done() {
+		return released
 	}
+	s.completedBase += app.CompletedWork()
+	s.cur++
+	if s.cur < len(s.apps) && s.SwitchNotify != nil {
+		s.SwitchNotify(s.apps[s.cur])
+	}
+	return true
 }
 
 // Done reports whether all applications have completed.

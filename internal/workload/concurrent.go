@@ -42,11 +42,16 @@ func (c *Concurrent) Apps() []*Application { return c.apps }
 // being runnable), so the platform sees no thread-set change.
 func (c *Concurrent) Threads() []*Thread { return c.threads }
 
-// Step advances each application's barrier bookkeeping independently.
-func (c *Concurrent) Step() {
+// Step advances each application's barrier bookkeeping independently and
+// reports whether any of them released a barrier.
+func (c *Concurrent) Step() bool {
+	changed := false
 	for _, a := range c.apps {
-		a.Step()
+		if a.Step() {
+			changed = true
+		}
 	}
+	return changed
 }
 
 // Done reports whether every application has completed.
