@@ -29,6 +29,7 @@ func BenchmarkTournamentCells(b *testing.B) {
 		b.Fatal(err)
 	}
 	var cells, ticks int64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultConfig()
 		cfg.CampaignJSON = doc

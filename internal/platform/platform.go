@@ -473,7 +473,7 @@ func (p *Platform) Step() {
 	// Scheduler tick at current frequencies. freqs only needs refilling
 	// when some core's DVFS level actually changed.
 	levelsChanged := p.freqsDirty
-	if p.freqsDirty {
+	if levelsChanged {
 		for c, l := range p.coreLevel {
 			p.freqs[c] = p.levelFreq[l]
 			p.coreLvl[c] = p.cfg.Levels[l]

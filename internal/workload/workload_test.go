@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -407,5 +408,59 @@ func TestDataSetFactorClamps(t *testing.T) {
 	}
 	if sp.ThreadImbalance > 0.85 {
 		t.Errorf("imbalance %g not clamped to 0.85", sp.ThreadImbalance)
+	}
+}
+
+// TestStepReportsChanges checks the Workload.Step contract the platform
+// relies on to skip Step: a Step that reports false changed nothing, and a
+// second Step with no work advanced in between reports false again; the
+// thread set changes only in a Step that reports true. The applications
+// include consecutive zero-work Sync phases, where a release that reports
+// true lands the threads on the next barrier at once.
+func TestStepReportsChanges(t *testing.T) {
+	chain := func(name string) *Application {
+		mk := func(id int) *Thread {
+			return NewThread(id, name, []Phase{
+				{Kind: Burst, Work: 1 + float64(id), Activity: 0.9},
+				{Kind: Sync, Work: 0.5, Activity: 0.2},
+				{Kind: Sync, Work: 0, Activity: 0.2},
+				{Kind: Sync, Work: 0, Activity: 0.2},
+				{Kind: Burst, Work: 2, Activity: 0.9},
+			})
+		}
+		return NewApplication(name, []*Thread{mk(0), mk(1)}, 0)
+	}
+	phases := func(w Workload) []int {
+		var out []int
+		for _, th := range w.Threads() {
+			out = append(out, th.PhaseIndex())
+		}
+		return out
+	}
+	for _, w := range []Workload{
+		chain("app"),
+		NewSequence(chain("a"), smallApp("b", 3)),
+		NewConcurrent(chain("c"), smallApp("d", 5)),
+	} {
+		changes := 0
+		for step := 0; step < 10000 && !w.Done(); step++ {
+			for i, th := range w.Threads() {
+				th.Advance(0.05 * float64(1+i%3))
+			}
+			threads, before := w.Threads(), phases(w)
+			if w.Step() {
+				changes++
+				continue
+			}
+			if !slices.Equal(w.Threads(), threads) || !slices.Equal(phases(w), before) {
+				t.Fatalf("%s step %d: a Step that reported false changed the threads or their phases", w.Name(), step)
+			}
+			if w.Step() {
+				t.Fatalf("%s step %d: a second Step reported a change with no work advanced", w.Name(), step)
+			}
+		}
+		if !w.Done() || changes < 3 {
+			t.Errorf("%s: done %v after %d reported changes", w.Name(), w.Done(), changes)
+		}
 	}
 }
