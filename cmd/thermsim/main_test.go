@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/golden"
 	"repro/internal/policy"
 )
 
@@ -39,17 +40,33 @@ func TestJSONSuiteMatchesSequential(t *testing.T) {
 
 // TestCampaignLeaderboardCSVMatchesSequential: -leaderboard-csv writes the
 // bytes campaign.WriteCSV produces over the leaderboard of the example
-// tournament's cells run in order.
+// tournament's cells run in order. The same run's -json stdout, leaderboard
+// CSV, -events and -learning-csv outputs must hash to the digests pinned in
+// testdata/digests.json.
 func TestCampaignLeaderboardCSVMatchesSequential(t *testing.T) {
 	docPath := filepath.Join("..", "..", "examples", "tournament", "experiments.json")
-	csvPath := filepath.Join(t.TempDir(), "leaderboard.csv")
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "leaderboard.csv")
+	eventsPath := filepath.Join(dir, "events.jsonl")
+	learningPath := filepath.Join(dir, "learning.csv")
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-campaign", docPath, "-leaderboard-csv", csvPath}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-campaign", docPath, "-json", "-leaderboard-csv", csvPath,
+		"-events", eventsPath, "-learning-csv", learningPath}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\n%s", err, stderr.String())
 	}
 	got, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	pins := golden.Open(t, filepath.Join("testdata", "digests.json"))
+	pins.Check(t, "tournament/json", stdout.Bytes())
+	pins.Check(t, "tournament/leaderboard-csv", got)
+	for name, path := range map[string]string{"tournament/events": eventsPath, "tournament/learning-csv": learningPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins.Check(t, name, data)
 	}
 
 	doc, err := os.ReadFile(docPath)
