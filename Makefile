@@ -5,8 +5,9 @@ GOFMT ?= gofmt
 
 # Committed benchmark baseline that bench-compare diffs against.
 BENCH_BASELINE ?= BENCH_pr4.json
-# Where `make bench` writes its machine-readable summary.
-BENCH_OUT ?= BENCH_pr10.json
+# Where `make bench` writes its machine-readable summary: one rolling file,
+# so a plain run never overwrites a committed BENCH_prN.json record.
+BENCH_OUT ?= BENCH.json
 
 all: ci
 
@@ -29,12 +30,12 @@ race:
 	$(GO) test -race ./...
 
 # Ordering stress: the tests that catch a job reading as finished before one
-# of its side effects (a journaled cell, an archived trace, a worker's commit
-# credit) has landed, a late DELETE changing a job's latched terminal state,
-# or an early one leaving the job's cells to run, repeated under the race
-# detector.
+# of its side effects (a journaled cell, a cell sharing its run's record, an
+# archived trace, a worker's commit credit) has landed, a late DELETE
+# changing a job's latched terminal state, or an early one leaving the job's
+# cells to run, repeated under the race detector.
 stress:
-	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestTraceStoreEvictionHook|TestClusterStatusEndpoint|TestStoreLatchedStateSurvivesCancel|TestStoreBindCancelsCancelledJob' ./internal/service ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestSharedCellsJournaledBeforeTerminal|TestTraceStoreEvictionHook|TestClusterStatusEndpoint|TestStoreLatchedStateSurvivesCancel|TestStoreBindCancelsCancelledJob' ./internal/service ./internal/cluster
 
 # The end-to-end benchmark (perfbench/, its own module) compiles against part
 # of this module's API; vetting and testing it here (including its one-job

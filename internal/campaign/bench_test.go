@@ -20,9 +20,11 @@ func simSteps() int64 {
 // BenchmarkTournamentCells is the campaign-cell rung of the benchmark
 // ladder: one op plans the example tournament and runs its cells
 // sequentially with a job's observation armed the way the service pool
-// arms it (a decision recorder, a span tracer with one span per cell, and a
-// learning-curve observer). It reports the time per cell and per platform
-// tick.
+// arms it (a decision recorder, a span tracer with one cell span per run,
+// and a learning-curve observer). A cell that shares another cell's run
+// takes its row from that run, as both executors do. It reports the time
+// per planned cell, which moves with perfbench's cpu_ms_per_cell, and per
+// platform tick.
 func BenchmarkTournamentCells(b *testing.B) {
 	doc, err := os.ReadFile("../../examples/tournament/experiments.json")
 	if err != nil {
@@ -43,9 +45,14 @@ func BenchmarkTournamentCells(b *testing.B) {
 		}
 		job := tracer.Start(0, telemetry.KindJob, "bench")
 		before := simSteps()
-		for _, c := range plan {
+		rows := make([]any, len(plan))
+		for j, c := range plan {
+			if sh := c.Shares; sh != nil {
+				rows[j], _ = experiments.SharedOutcome(plan, j, rows[sh.Cell], nil)
+				continue
+			}
 			span := tracer.Start(job, telemetry.KindCell, c.Key)
-			if _, err := experiments.RunCell(telemetry.ContextWithSpan(context.Background(), tracer, span), c); err != nil {
+			if rows[j], err = experiments.RunCell(telemetry.ContextWithSpan(context.Background(), tracer, span), c); err != nil {
 				b.Fatal(err)
 			}
 			tracer.End(span)

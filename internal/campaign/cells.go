@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -54,6 +55,12 @@ type Row struct {
 // experiments.Cells. Installing it on the pool — and using it in the cluster
 // worker's executor — is all it takes for the same spec to run standalone,
 // pooled, or sharded. DecodeCellRow is its counterpart for cell rows.
+//
+// A tournament plans one cell per (policy, workload, seed, repeat). The
+// cells of a policy whose factory declares IgnoresSeed differ only in their
+// seed and repeat, so every later cell of such a (policy, workload) pair
+// shares the first one's run (experiments.Cell.Shares): its row is that
+// run's row restamped with its own seed and repeat.
 func Cells(cfg experiments.Config, id string) ([]experiments.Cell, experiments.Assemble, error) {
 	if id != Experiment {
 		return experiments.Cells(cfg, id)
@@ -64,13 +71,32 @@ func Cells(cfg experiments.Config, id string) ([]experiments.Cell, experiments.A
 	}
 	plan := spec.plan()
 	cells := make([]experiments.Cell, len(plan))
+	firstRun := map[string]int{} // "policy/workload" -> index of its first cell
 	for i, c := range plan {
 		key := fmt.Sprintf("tournament/%s/%s/s%d/r%d", c.Policy, c.Workload, c.Seed, c.Repeat)
 		cells[i] = experiments.SimCell(key, func(ctx context.Context) (sim.BatchRun, experiments.FinishCell, error) {
 			return prepareCell(experiments.TracedConfig(ctx, cfg), spec, c)
 		})
+		if f, _ := policy.Lookup(c.Policy); !f.IgnoresSeed {
+			continue
+		}
+		pair := c.Policy + "/" + c.Workload
+		if first, ok := firstRun[pair]; ok {
+			cells[i].Shares = &experiments.SharedRun{Cell: first, Row: c.restamp}
+		} else {
+			firstRun[pair] = i
+		}
 	}
 	return cells, experiments.AssembleAs[Row], nil
+}
+
+// restamp maps the row of a run this cell shares to the cell's own row: a
+// copy carrying the cell's seed and repeat.
+func (c cellPlan) restamp(row any) any {
+	r := row.(Row)
+	r.Seed, r.Repeat = c.Seed, c.Repeat
+	r.CoreDamageShare = slices.Clone(r.CoreDamageShare)
+	return r
 }
 
 // DecodeCellRow rebuilds one cell's typed row of experiment id from its JSON

@@ -86,6 +86,64 @@ func TestTournamentRowsCarryMetrics(t *testing.T) {
 	}
 }
 
+// TestCellsShareSeedInsensitiveRuns: the plan keeps one cell per (policy,
+// workload, seed, repeat) with its own key, Run and Prepare, and marks every
+// later cell of a seed-insensitive policy's workload as sharing that
+// workload's first cell. A sharing cell's mapped row is the row its own Run
+// produces, and does not alias the shared run's row.
+func TestCellsShareSeedInsensitiveRuns(t *testing.T) {
+	cfg := experiments.DefaultConfig()
+	cfg.CampaignJSON = []byte(`{
+		"policies": ["linux-ondemand", "distilled"],
+		"workloads": ["mpegdec", "tachyon"],
+		"seeds": [1, 2],
+		"repeats": 2
+	}`)
+	cells, _, err := Cells(cfg, Experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 16 {
+		t.Fatalf("planned %d cells, want 16", len(cells))
+	}
+	for i, c := range cells {
+		if c.Run == nil || c.Prepare == nil {
+			t.Errorf("%s lost its Run or Prepare", c.Key)
+		}
+		// linux-ondemand's mpegdec cells are 0-3 and its tachyon cells 4-7.
+		var want *int
+		if first := i - i%4; i < 8 && i != first {
+			want = &first
+		}
+		switch sh := c.Shares; {
+		case want == nil && sh != nil:
+			t.Errorf("%s shares cell %d, want its own run", c.Key, sh.Cell)
+		case want != nil && (sh == nil || sh.Cell != *want):
+			t.Errorf("%s shares %+v, want cell %d", c.Key, sh, *want)
+		}
+	}
+	if key := cells[7].Key; key != "tournament/linux-ondemand/tachyon/s2/r1" {
+		t.Errorf("cell 7 key %q", key)
+	}
+
+	shared, err := cells[4].Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := cells[7].Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := cells[7].Shares.Row(shared).(Row)
+	if !reflect.DeepEqual(mapped, own) {
+		t.Fatalf("mapped row differs from the cell's own run:\n%+v\n%+v", mapped, own)
+	}
+	mapped.CoreDamageShare[0] = -1
+	if shared.(Row).CoreDamageShare[0] == -1 {
+		t.Error("mapped row aliases the shared run's CoreDamageShare")
+	}
+}
+
 // TestRowJSONRoundTrip pins the journal/cluster serialization: a row decoded
 // from its JSON is the row (shortest-form float64 encoding is exact).
 func TestRowJSONRoundTrip(t *testing.T) {

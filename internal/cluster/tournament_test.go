@@ -59,6 +59,17 @@ func TestTournamentCluster(t *testing.T) {
 	if job.Progress.DoneCells != len(cells) {
 		t.Fatalf("cluster completed %d cells, want %d", job.Progress.DoneCells, len(cells))
 	}
+	// linux-ondemand's seed 2 shares its seed 1 run, so the coordinator
+	// leases one cell per distinct run: 5 of the 6.
+	runs := 0
+	for _, c := range cells {
+		if c.Shares == nil {
+			runs++
+		}
+	}
+	if leases := tc.coord.leasesGranted.Value(); runs != 5 || leases != int64(runs) {
+		t.Errorf("%d leases granted for %d distinct runs, want 5 for 5", leases, runs)
+	}
 	rowsAny, ok := tc.store.Rows(job.ID)
 	if !ok {
 		t.Fatal("no rows for finished tournament")

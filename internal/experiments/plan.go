@@ -28,6 +28,36 @@ type Cell struct {
 	// work is not a single simulation (seed studies, single-shot figure
 	// experiments) leave Prepare nil.
 	Prepare func(ctx context.Context) (sim.BatchRun, FinishCell, error)
+	// Shares, when non-nil, marks a cell whose run is the same as an earlier
+	// cell's (a seed-insensitive policy's later seeds in a tournament). The
+	// executors run only that earlier cell and derive this cell's outcome
+	// from its outcome (SharedOutcome); Run and Prepare stay complete, so a
+	// caller that runs every cell gets the same rows.
+	Shares *SharedRun
+}
+
+// SharedRun names the cell whose run a cell shares and how that run's row
+// becomes the sharing cell's row.
+type SharedRun struct {
+	// Cell is the index, in the same plan, of the cell that runs. It is
+	// lower than the sharing cell's index and shares no run itself.
+	Cell int
+	// Row maps the running cell's row to a new row for the sharing cell.
+	Row func(any) any
+}
+
+// SharedOutcome is the outcome of cells[i], which shares the run of
+// cells[i].Shares.Cell, given that cell's outcome: the mapped row, or an
+// error naming both cells when the run failed.
+func SharedOutcome(cells []Cell, i int, row any, err error) (any, error) {
+	sh := cells[i].Shares
+	if err != nil {
+		return nil, fmt.Errorf("%s: shared run %s failed: %w", cells[i].Key, cells[sh.Cell].Key, err)
+	}
+	if row == nil {
+		return nil, nil
+	}
+	return sh.Row(row), nil
 }
 
 // FinishCell maps a completed simulation to the cell's row.
@@ -84,25 +114,32 @@ func RunCell(ctx context.Context, cell Cell) (row any, err error) {
 }
 
 // RunCells is the sequential executor: it runs cells in order and assembles
-// their outputs. A failing or panicking cell does not stop the others; its
-// error joins the returned error and the surviving rows are assembled
-// without it.
+// their outputs. A cell that shares an earlier cell's run takes its outcome
+// from that run instead of running again. A failing or panicking cell does
+// not stop the others; its error joins the returned error and the surviving
+// rows are assembled without it.
 // Cancellation of ctx stops between cells, and the rows assembled so far
 // come back with ctx's error joined in. A cell that fails because ctx was
 // cancelled counts as skipped, not failed — the job pool's semantics.
 func RunCells(ctx context.Context, cells []Cell, assemble Assemble) (any, error) {
 	rows := make([]any, len(cells))
-	var errs []error
+	errs := make([]error, len(cells))
 	for i, c := range cells {
 		if ctx.Err() != nil {
 			break
 		}
-		row, err := RunCell(ctx, c)
+		var row any
+		var err error
+		if sh := c.Shares; sh != nil {
+			row, err = SharedOutcome(cells, i, rows[sh.Cell], errs[sh.Cell])
+		} else {
+			row, err = RunCell(ctx, c)
+		}
 		switch {
 		case err == nil:
 			rows[i] = row
 		case ctx.Err() == nil:
-			errs = append(errs, err)
+			errs[i] = err
 		}
 	}
 	return assemble(rows), errors.Join(append(errs, ctx.Err())...)

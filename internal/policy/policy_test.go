@@ -3,6 +3,7 @@ package policy_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
@@ -134,6 +135,56 @@ func TestForeignKindCheckpointIgnored(t *testing.T) {
 	}
 	if _, err := policy.New("linux-ondemand", policy.Options{Checkpoint: ck}); err != nil {
 		t.Errorf("baseline rejected a checkpoint: %v", err)
+	}
+}
+
+// TestIgnoresSeedDeclaration: every factory that declares IgnoresSeed builds
+// instances whose runs are bit-identical whatever the seed, both without a
+// checkpoint and with one of a kind the policy does not own. A tournament
+// runs such a policy once per workload and shares that run among its seeds,
+// so a factory that starts using its seed fails here until it drops the
+// declaration.
+func TestIgnoresSeedDeclaration(t *testing.T) {
+	payload, err := policy.EncodeDistilled(&policy.DecisionTable{States: 12, Actions: 12, Best: make([]int, 12)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := policy.DecodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Ge & Qiu learner decides every 2 s: ten iterations of tachyon
+	// give it enough epochs for seeded exploration to show.
+	sp := workload.TachyonSpec(workload.Set1)
+	sp.Iterations = 10
+	var declared []string
+	for _, name := range policy.Names() {
+		f, _ := policy.Lookup(name)
+		if !f.IgnoresSeed {
+			continue
+		}
+		declared = append(declared, name)
+		for _, ck := range []*policy.Checkpoint{nil, foreign} {
+			var res [2]*sim.Result
+			for i, seed := range []int64{1, 2} {
+				pol, err := f.New(policy.Options{Seed: seed, Checkpoint: ck})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res[i], err = sim.Run(sim.DefaultRunConfig(), sp.Generate(), pol); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("%s declares IgnoresSeed, but seeds 1 and 2 (checkpoint %v) ran different simulations", name, ck != nil)
+			}
+		}
+	}
+	// The example tournament's shared runs rest on these two declarations.
+	for _, name := range []string{"linux-ondemand", "ge-qiu"} {
+		if f, _ := policy.Lookup(name); !f.IgnoresSeed {
+			t.Errorf("%s no longer declares IgnoresSeed (declared: %v)", name, declared)
+		}
 	}
 }
 

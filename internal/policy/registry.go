@@ -54,6 +54,12 @@ type Factory struct {
 	// New builds a fresh instance; policies are stateful, so a new instance
 	// is required per run.
 	New func(Options) (sim.Policy, error)
+	// IgnoresSeed declares that Options.Seed never changes a run: instances
+	// built with different seeds (and the same checkpoint) run bit-identical
+	// simulations. A tournament runs such a policy once per workload and
+	// shares that run among its seeds and repeats, so a factory that starts
+	// using the seed must drop the declaration.
+	IgnoresSeed bool
 }
 
 // Checkpointer is implemented by policies with persistable learning state.
@@ -114,9 +120,10 @@ func New(name string, o Options) (sim.Policy, error) {
 	return f.New(o)
 }
 
-// fixed registers a deterministic policy that ignores Options.
+// fixed registers a policy that ignores Options, so the seed changes none
+// of its runs.
 func fixed(name, desc string, build func() sim.Policy) {
-	Register(Factory{Name: name, Description: desc, New: func(Options) (sim.Policy, error) {
+	Register(Factory{Name: name, Description: desc, IgnoresSeed: true, New: func(Options) (sim.Policy, error) {
 		return build(), nil
 	}})
 }

@@ -18,20 +18,20 @@ func (p *Pool) registerMetrics() {
 		func() float64 { return float64(p.JobsSubmitted()) })
 	reg.CounterFunc("thermserved_jobs_rejected_total", "Submissions refused by queue-depth admission control (HTTP 429).",
 		func() float64 { return float64(p.JobsRejected()) })
-	reg.CounterFunc("thermserved_cells_completed_total", "Cells executed successfully.",
+	reg.CounterFunc("thermserved_cells_completed_total", "Cells completed successfully (a cell sharing another cell's run completes with it).",
 		func() float64 { return float64(p.CellsCompleted()) })
-	reg.CounterFunc("thermserved_cells_failed_total", "Cells that returned an error.",
+	reg.CounterFunc("thermserved_cells_failed_total", "Cells that failed (a cell sharing a failed run fails with it).",
 		func() float64 { return float64(p.CellsFailed()) })
 	reg.GaugeFunc("thermserved_workers", "Configured worker count.",
 		func() float64 { return float64(p.Workers()) })
 	reg.GaugeFunc("thermserved_workers_busy", "Workers currently executing a cell.",
 		func() float64 { return float64(p.BusyWorkers()) })
-	reg.GaugeFunc("thermserved_queue_depth", "Cells accepted but not yet picked up by a worker.",
+	reg.GaugeFunc("thermserved_queue_depth", "Runs accepted but not yet picked up by a worker (one per cell, except cells sharing another cell's run).",
 		func() float64 { return float64(p.queued.Load()) })
 	p.cellWait = reg.Histogram("thermserved_cell_wait_seconds",
 		"Time from job submission to a cell starting on a worker.", telemetry.DefBuckets)
 	p.cellRun = reg.Histogram("thermserved_cell_run_seconds",
-		"Wall-clock execution time of one cell.", telemetry.DefBuckets)
+		"Wall-clock execution time of one cell's run.", telemetry.DefBuckets)
 
 	gauges := make(map[State]*telemetry.Gauge, len(allStates))
 	for _, st := range allStates {

@@ -217,13 +217,19 @@ func TestJournaledLifecycleAndSweep(t *testing.T) {
 // must reopen cleanly and recover — via resume when records were lost — to
 // rows bit-identical to the uninterrupted run.
 func TestRecoveryTruncateEveryOffset(t *testing.T) {
-	const cells = 3
+	recoverEveryOffset(t, suiteRowPlan(3))
+}
+
+// recoverEveryOffset runs one job of plan to completion, then recovers it
+// from every prefix of its WAL and demands the rows of the uninterrupted
+// run.
+func recoverEveryOffset(t *testing.T, plan Planner) {
 	dir := t.TempDir()
 	j := openJournal(t, dir)
 	store := NewStore(0)
 	store.SetJournal(j)
 	pool := NewPool(store, 2)
-	pool.plan = suiteRowPlan(cells)
+	pool.plan = plan
 	pool.Start()
 	job, err := pool.Submit(Spec{Experiment: "suite"})
 	if err != nil {
@@ -263,7 +269,7 @@ func TestRecoveryTruncateEveryOffset(t *testing.T) {
 		store2 := NewStore(0)
 		store2.SetJournal(jr)
 		pool2 := NewPool(store2, 2)
-		pool2.plan = suiteRowPlan(cells)
+		pool2.plan = plan
 		pool2.Recover(st)
 		pool2.Start()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

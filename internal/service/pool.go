@@ -62,7 +62,7 @@ type Pool struct {
 	cellsFailed   atomic.Int64
 	jobsSubmitted atomic.Int64
 	jobsRejected  atomic.Int64
-	// queued counts cells accepted but not yet picked up by a worker.
+	// queued counts tasks (runs) accepted but not yet picked up by a worker.
 	queued atomic.Int64
 
 	// checkpoints, when attached, resolves warm_start submissions to stored
@@ -97,6 +97,7 @@ type jobRun struct {
 	spec     Spec
 	ctx      context.Context
 	cancel   context.CancelFunc
+	cells    []experiments.Cell
 	assemble experiments.Assemble
 	// submittedAt anchors the per-cell queue wait-time measurement.
 	submittedAt time.Time
@@ -104,20 +105,23 @@ type jobRun struct {
 	// jobSpan is the root of the job's span hierarchy.
 	jobSpan telemetry.SpanID
 
-	mu        sync.Mutex
-	rows      []any
-	errs      []error
+	mu   sync.Mutex
+	rows []any
+	errs []error
+	// remaining counts the tasks not yet finished.
 	remaining int
 
 	startOnce sync.Once
 }
 
-// task is one cell of a job, executed through the configured CellRunner
-// (in-process or cluster dispatch).
+// task is one run of a job: cell idx, executed through the configured
+// CellRunner (in-process or cluster dispatch), and the uncommitted cells
+// that share its run (experiments.Cell.Shares), which commit with it.
 type task struct {
-	jr   *jobRun
-	idx  int
-	cell experiments.Cell
+	jr     *jobRun
+	idx    int
+	cell   experiments.Cell
+	shared []int
 }
 
 // NewPool builds a pool over store with the given worker count;
@@ -247,10 +251,12 @@ func (p *Pool) observe(cfg *experiments.Config) observation {
 }
 
 // launch starts a planned job: it binds the job's context and observation
-// state to the store, opens the job span (with attrs after the experiment
-// and cell count) and feeds every cell with no committed outcome in rows or
-// errs — all of them for a new job, the unjournaled ones for a resumed job.
-// It returns how many cells it fed.
+// state to the store, opens the job span (with attrs after the experiment,
+// cell and run counts) and feeds one task per run that has a cell with no
+// committed outcome in rows or errs — every run for a new job, the
+// unjournaled ones for a resumed job. A cell sharing a run whose own cell is
+// already committed (a journal that ends between the two records) commits
+// here, from that outcome. It returns how many cells it left to the tasks.
 func (p *Pool) launch(id string, spec Spec, obs observation, cells []experiments.Cell, assemble experiments.Assemble, rows []any, errs []error, attrs ...telemetry.Attr) int {
 	jctx, jcancel := context.WithCancel(p.ctx)
 	p.store.Bind(id, jcancel, obs.events, obs.tracer, obs.curves)
@@ -260,28 +266,47 @@ func (p *Pool) launch(id string, spec Spec, obs observation, cells []experiments
 		spec:        spec,
 		ctx:         jctx,
 		cancel:      jcancel,
+		cells:       cells,
 		assemble:    assemble,
 		submittedAt: time.Now(),
 		observation: obs,
 		rows:        rows,
 		errs:        errs,
 	}
+	var tasks []task
+	taskOf := map[int]int{} // running cell -> its task's index in tasks
+	runs, pending := 0, 0
+	for i, cell := range cells {
+		sh := cell.Shares
+		if sh == nil {
+			runs++
+		}
+		if rows[i] != nil || errs[i] != nil {
+			continue
+		}
+		if sh == nil {
+			taskOf[i] = len(tasks)
+			tasks = append(tasks, task{jr: jr, idx: i, cell: cell})
+			pending++
+		} else if t, ok := taskOf[sh.Cell]; ok {
+			tasks[t].shared = append(tasks[t].shared, i)
+			pending++
+		} else {
+			row, err := experiments.SharedOutcome(cells, i, rows[sh.Cell], errs[sh.Cell])
+			p.commit(jr, i, row, err, "")
+		}
+	}
 	jr.jobSpan = obs.tracer.Start(0, telemetry.KindJob, id, append([]telemetry.Attr{
 		telemetry.Str("experiment", spec.Experiment),
 		telemetry.Num("cells", float64(len(cells))),
+		telemetry.Num("runs", float64(runs)),
 	}, attrs...)...)
 	p.watchStall(jr)
-	tasks := make([]task, 0, len(cells))
-	for i, cell := range cells {
-		if rows[i] == nil && errs[i] == nil {
-			tasks = append(tasks, task{jr: jr, idx: i, cell: cell})
-		}
-	}
 	jr.remaining = len(tasks)
 	p.queued.Add(int64(len(tasks)))
 	p.feederWG.Add(1)
 	go p.feed(jr, tasks)
-	return len(tasks)
+	return pending
 }
 
 // Wait blocks until job id reaches a terminal state (returning its final
@@ -317,7 +342,7 @@ func (p *Pool) feed(jr *jobRun, tasks []task) {
 			// queue-depth gauge as it is accounted.
 			for _, rest := range tasks[i:] {
 				p.queued.Add(-1)
-				p.finishCell(jr, rest.idx, nil, "", jr.ctx.Err(), true)
+				p.finishTask(rest, nil, "", jr.ctx.Err(), true)
 			}
 			return
 		case p.tasks <- t:
@@ -348,7 +373,7 @@ func (p *Pool) runTask(t task) {
 		_ = p.store.Start(t.jr.id)
 	})
 	if err := t.jr.ctx.Err(); err != nil {
-		p.finishCell(t.jr, t.idx, nil, "", err, true)
+		p.finishTask(t, nil, "", err, true)
 		return
 	}
 	p.busy.Add(1)
@@ -383,40 +408,54 @@ func (p *Pool) runTask(t task) {
 	if err != nil && !skipped {
 		p.log.Warn("cell failed", "cell", t.cell.Key, "job", t.jr.id, "err", err)
 	}
-	p.finishCell(t.jr, t.idx, row, ranBy, err, skipped)
+	p.finishTask(t, row, ranBy, err, skipped)
 }
 
-// finishCell records one cell's outcome and finalizes the job when it was
-// the last one outstanding. ranBy attributes the committed outcome to the
-// cluster worker that executed it ("" in-process).
-func (p *Pool) finishCell(jr *jobRun, idx int, row any, ranBy string, err error, skipped bool) {
+// finishTask commits a task's run outcome to its cell and to every cell
+// sharing the run, then finalizes the job when it was the last task
+// outstanding. A skipped run commits nothing, leaving its cells to a resume.
+// ranBy attributes the outcomes to the cluster worker that ran them (""
+// in-process).
+func (p *Pool) finishTask(t task, row any, ranBy string, err error, skipped bool) {
+	jr := t.jr
 	if !skipped {
-		// Journal the outcome and credit progress before the cell counts
-		// against remaining: whichever cell finishes last writes the job's
-		// terminal record, so it must find every other cell already
-		// journaled, and every cell a client ever saw counted is recoverable
-		// after a crash.
-		p.store.CellDone(jr.id, idx, row, err, ranBy)
-		if err == nil {
-			p.cellsDone.Add(1)
-			p.store.AddProgress(jr.id, 1, 0)
-		} else {
-			p.cellsFailed.Add(1)
-			p.store.AddProgress(jr.id, 0, 1)
+		// Commit before the task counts against remaining: whichever task
+		// finishes last writes the job's terminal record, so it must find
+		// every cell already journaled, and every cell a client ever saw
+		// counted is recoverable after a crash.
+		p.commit(jr, t.idx, row, err, ranBy)
+		for _, i := range t.shared {
+			srow, serr := experiments.SharedOutcome(jr.cells, i, row, err)
+			p.commit(jr, i, srow, serr, ranBy)
 		}
 	}
 	jr.mu.Lock()
-	if err == nil && !skipped {
-		jr.rows[idx] = row
-	} else if err != nil && !skipped {
-		jr.errs[idx] = err
-	}
 	jr.remaining--
 	last := jr.remaining == 0
 	jr.mu.Unlock()
 	if last {
 		p.finalize(jr)
 	}
+}
+
+// commit journals one cell's outcome (row or error), credits it to the
+// job's progress and keeps it for assembly.
+func (p *Pool) commit(jr *jobRun, idx int, row any, err error, ranBy string) {
+	p.store.CellDone(jr.id, idx, row, err, ranBy)
+	if err == nil {
+		p.cellsDone.Add(1)
+		p.store.AddProgress(jr.id, 1, 0)
+	} else {
+		p.cellsFailed.Add(1)
+		p.store.AddProgress(jr.id, 0, 1)
+	}
+	jr.mu.Lock()
+	if err == nil {
+		jr.rows[idx] = row
+	} else {
+		jr.errs[idx] = err
+	}
+	jr.mu.Unlock()
 }
 
 // finalize assembles the job's rows in cell order and commits the terminal
@@ -483,10 +522,11 @@ func (p *Pool) Workers() int { return p.workers }
 // BusyWorkers is the number of workers currently executing a cell.
 func (p *Pool) BusyWorkers() int64 { return p.busy.Load() }
 
-// CellsCompleted is the lifetime count of successfully executed cells.
+// CellsCompleted is the lifetime count of successfully completed cells,
+// counting each cell that shares another cell's run.
 func (p *Pool) CellsCompleted() int64 { return p.cellsDone.Load() }
 
-// CellsFailed is the lifetime count of cells that returned an error.
+// CellsFailed is the lifetime count of failed cells.
 func (p *Pool) CellsFailed() int64 { return p.cellsFailed.Load() }
 
 // JobsSubmitted is the lifetime count of accepted submissions.
@@ -496,5 +536,6 @@ func (p *Pool) JobsSubmitted() int64 { return p.jobsSubmitted.Load() }
 // control.
 func (p *Pool) JobsRejected() int64 { return p.jobsRejected.Load() }
 
-// QueuedCells is the number of cells accepted but not yet picked up.
+// QueuedCells is the number of runs accepted but not yet picked up: one
+// per queued cell, except cells sharing another cell's run.
 func (p *Pool) QueuedCells() int64 { return p.queued.Load() }
