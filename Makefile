@@ -33,9 +33,21 @@ race:
 # of its side effects (a journaled cell, a cell sharing its run's record, an
 # archived trace, a worker's commit credit) has landed, a late DELETE
 # changing a job's latched terminal state, or an early one leaving the job's
-# cells to run, repeated under the race detector.
+# cells to run, repeated under the race detector. The target first checks
+# that `go test -list` finds every listed test, so a rename cannot silently
+# drop one from the loop.
+STRESS_TESTS = TestRecoveryTruncateEveryOffset TestSharedCellsJournaledBeforeTerminal \
+	TestTraceStoreEvictionHook TestClusterStatusEndpoint \
+	TestStoreLatchedStateSurvivesCancel TestStoreBindCancelsCancelledJob
+STRESS_PKGS = ./internal/service ./internal/cluster
+empty :=
+space := $(empty) $(empty)
+STRESS_RUN = ^($(subst $(space),|,$(strip $(STRESS_TESTS))))$$
 stress:
-	$(GO) test -race -count=20 -run 'TestRecoveryTruncateEveryOffset|TestSharedCellsJournaledBeforeTerminal|TestTraceStoreEvictionHook|TestClusterStatusEndpoint|TestStoreLatchedStateSurvivesCancel|TestStoreBindCancelsCancelledJob' ./internal/service ./internal/cluster
+	@found=$$($(GO) test -list '$(STRESS_RUN)' $(STRESS_PKGS) | grep -c '^Test'); \
+	if [ "$$found" -lt $(words $(STRESS_TESTS)) ]; then \
+		echo "stress: go test -list finds $$found of the $(words $(STRESS_TESTS)) tests in STRESS_TESTS"; exit 1; fi
+	$(GO) test -race -count=20 -run '$(STRESS_RUN)' $(STRESS_PKGS)
 
 # The end-to-end benchmark (perfbench/, its own module) compiles against part
 # of this module's API; vetting and testing it here (including its one-job

@@ -69,9 +69,9 @@
 // README's "Cluster mode" section):
 //
 //   - standalone (default): everything above, cells run in-process.
-//   - coordinator: same public API and durability, but cells are sharded
-//     across registered workers by consistent hashing, under time-bounded
-//     leases, with /cluster/v1/* mounted for worker traffic. -lease-ttl and
+//   - coordinator: same public API and durability, but each cell is leased
+//     to the registered worker with the most free capacity, under a
+//     time-bounded lease, with /cluster/v1/* mounted for worker traffic. -lease-ttl and
 //     -heartbeat-every tune failure detection. -workers here sizes the
 //     dispatch width (cluster-wide in-flight cell cap), not local execution;
 //     0 defaults to a generous 256 rather than NumCPU.

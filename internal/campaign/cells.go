@@ -119,14 +119,7 @@ func DecodeCellRow(id string, data []byte) (any, error) {
 // resolved warm-start checkpoint, if its kind belongs to the policy), arm
 // learning-curve sampling, and return the row collector.
 func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, experiments.FinishCell, error) {
-	var ckpt *policy.Checkpoint
-	if len(cfg.WarmCheckpoint) > 0 {
-		var err error
-		if ckpt, err = policy.DecodeCheckpoint(cfg.WarmCheckpoint); err != nil {
-			return sim.BatchRun{}, nil, err
-		}
-	}
-	pol, err := policy.New(c.Policy, policy.Options{Seed: c.agentSeed(), Checkpoint: ckpt})
+	pol, err := policy.New(c.Policy, policy.Options{Seed: c.agentSeed(), Checkpoint: cfg.Warm})
 	if err != nil {
 		return sim.BatchRun{}, nil, err
 	}
@@ -195,14 +188,13 @@ func parseWorkload(name string, ds workload.DataSet) (workload.Workload, error) 
 	return workload.NewSequence(apps...), nil
 }
 
-// ApplyWarmPayload threads a resolved warm-start checkpoint payload into an
-// experiment config. A proposed-kind payload (including the historical
-// untagged format) is dimension-validated against the default controller and
-// decoded into cfg.WarmStart; any other kind rides along as raw bytes on
-// cfg.WarmCheckpoint for the tournament cells to route — and is rejected for
-// non-tournament experiments, where no policy could consume it. The job
-// service and the cluster worker share this helper so their warm-start
-// semantics cannot drift.
+// ApplyWarmPayload decodes a resolved warm-start checkpoint payload once and
+// sets it as the experiment config's cfg.Warm, which every cell's policy is
+// built with. A proposed-kind payload (including the historical untagged
+// format) is dimension-validated against the default controller; any other
+// kind is rejected for non-tournament experiments, where no policy could
+// consume it. The job service and the cluster worker share this helper so
+// their warm-start semantics cannot drift.
 func ApplyWarmPayload(cfg *experiments.Config, experiment string, payload []byte) error {
 	if len(payload) == 0 {
 		return nil
@@ -211,19 +203,15 @@ func ApplyWarmPayload(cfg *experiments.Config, experiment string, payload []byte
 	if err != nil {
 		return err
 	}
-	cfg.WarmCheckpoint = payload
 	dflt := core.DefaultConfig()
 	sa, err := ck.AgentFor(policy.KindProposed, dflt.States.NumStates(), len(dflt.Actions))
 	if err != nil {
 		return err
 	}
-	if sa != nil {
-		cfg.WarmStart = sa.WarmTable()
-		return nil
-	}
-	if experiment != Experiment {
+	if sa == nil && experiment != Experiment {
 		return fmt.Errorf("campaign: checkpoint kind %q cannot warm-start experiment %q (only a tournament routes it to the policy that owns it)",
 			ck.NormalizedKind(), experiment)
 	}
+	cfg.Warm = ck
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/policy"
 )
 
 const testDoc = `{
@@ -238,10 +239,10 @@ func TestApplyWarmPayloadRejectsForeignKindOutsideTournament(t *testing.T) {
 	if err := ApplyWarmPayload(&cfg, Experiment, payload); err != nil {
 		t.Fatalf("tournament rejected a routable checkpoint: %v", err)
 	}
-	if !bytes.Equal(cfg.WarmCheckpoint, payload) {
-		t.Error("payload not threaded onto cfg.WarmCheckpoint")
+	if cfg.Warm == nil || cfg.Warm.NormalizedKind() != policy.KindDistilled || cfg.Warm.Table == nil {
+		t.Errorf("distilled payload not set as cfg.Warm: %+v", cfg.Warm)
 	}
-	if cfg.WarmStart != nil {
-		t.Error("distilled payload decoded into a proposed warm-start table")
+	if cfg.Warm != nil && cfg.Warm.Agent != nil {
+		t.Error("distilled payload decoded into a proposed warm-start agent")
 	}
 }

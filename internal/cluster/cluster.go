@@ -4,21 +4,23 @@
 //
 // Topology: workers register with the coordinator over HTTP and send
 // periodic heartbeats. The coordinator keeps the public /v1/jobs API and the
-// durable journal, but instead of executing cells in-process it shards them
-// across live workers by consistent hashing on the cell id, granting each
-// assignment a time-bounded lease. A worker executes its cell by replanning
+// durable journal, but instead of executing cells in-process it leases each
+// one to the live worker with the most free capacity (the lowest
+// inflight/capacity ratio), granting each assignment a time-bounded lease.
+// Workers are stateless re-planners, so any of them can run any cell; free
+// slots alone decide placement. A worker executes its cell by replanning
 // the job's spec (cells are explicitly seeded, so any node computes the same
 // row) and streams the result back to the coordinator, which aggregates rows
 // bit-identically to a standalone run.
 //
 // Failure semantics: a worker that misses enough heartbeats is declared dead
-// — its leases are force-expired and the cells reassigned to the next live
-// worker on the hash ring. A lease that outlives its TTL (slow or wedged
-// worker) is reassigned the same way; a late result arriving for an expired
-// lease is dropped idempotently, so a cell commits at most once. Because the
-// coordinator journals every committed cell through internal/durable, both
-// in-process reassignment and a full coordinator restart re-feed only the
-// uncommitted cells.
+// — its leases are force-expired and the cells reassigned to another live
+// worker, the failed one taken again only when no other has a free slot. A
+// lease that outlives its TTL (slow or wedged worker) is reassigned the same
+// way; a late result arriving for an expired lease is dropped idempotently,
+// so a cell commits at most once. Because the coordinator journals every
+// committed cell through internal/durable, both in-process reassignment and
+// a full coordinator restart re-feed only the uncommitted cells.
 //
 // Backpressure: admission control on /v1/jobs (queue-depth-aware 429 with
 // Retry-After, service.OverloadedError) bounds the coordinator's queue, and
@@ -26,25 +28,17 @@
 // frees rather than overrunning a node.
 package cluster
 
-import (
-	"net/http"
-	"time"
-)
+import "time"
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the coordinator's fixed limits.
 const (
 	// DefaultLeaseTTL bounds how long one cell assignment may stay
 	// outstanding before the coordinator reassigns it. It must exceed the
 	// longest cell runtime; campaign cells run minutes at full fidelity.
 	DefaultLeaseTTL = 10 * time.Minute
-	// DefaultHeartbeatEvery is the worker heartbeat period.
+	// DefaultHeartbeatEvery is the worker heartbeat period. A worker silent
+	// for five periods is declared dead and its leases are reassigned.
 	DefaultHeartbeatEvery = 2 * time.Second
-	// DefaultExpireAfter is how long a silent worker stays alive before it
-	// is declared dead and its leases are reassigned.
-	DefaultExpireAfter = 5 * DefaultHeartbeatEvery
-	// DefaultRingReplicas is the virtual-node count per worker on the hash
-	// ring; enough that three workers land within a few percent of even.
-	DefaultRingReplicas = 128
 	// DefaultDispatchWidth is the coordinator's default pool size: each pool
 	// worker goroutine spends its life blocked in RunCell while the cell
 	// executes remotely, so the pool bounds cluster-wide in-flight cells and
@@ -63,6 +57,9 @@ const (
 	DefaultStormDeaths    = 3
 	// DefaultStatusPoll is the /v1/cluster/live SSE refresh period.
 	DefaultStatusPoll = time.Second
+	// assignTimeout bounds one coordinator → worker assignment request (the
+	// ACK is immediate; results stream back on a separate connection).
+	assignTimeout = 10 * time.Second
 )
 
 // Config parameterizes a Coordinator. The zero value selects every default.
@@ -70,14 +67,8 @@ type Config struct {
 	// LeaseTTL bounds one cell assignment; 0 selects DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is handed to workers at registration; 0 selects
-	// DefaultHeartbeatEvery.
+	// DefaultHeartbeatEvery. A worker silent for 5x this is declared dead.
 	HeartbeatEvery time.Duration
-	// ExpireAfter declares a silent worker dead; 0 selects
-	// DefaultExpireAfter.
-	ExpireAfter time.Duration
-	// RingReplicas is the virtual-node count per worker; 0 selects
-	// DefaultRingReplicas.
-	RingReplicas int
 	// Secret, when non-empty, gates every /cluster/v1/* route behind a
 	// shared bearer token and attaches it to outgoing assignments, so a
 	// coordinator reachable from untrusted networks cannot be fed bogus
@@ -85,28 +76,11 @@ type Config struct {
 	// expiry). Empty disables authentication; workers must be configured
 	// with the same value.
 	Secret string
-	// Client performs coordinator → worker assignment requests; nil selects
-	// a client with a short dial-oriented timeout (the assignment ACK is
-	// immediate; results stream back on a separate connection).
-	Client *http.Client
 	// FlightDir, when non-empty, enables the cluster flight recorder: a
 	// lease-reassignment storm or heartbeat-loss burst dumps the newest
 	// cluster events to <FlightDir>/flightrec-cluster.json. Storm detection
 	// and the event ring run regardless; only the dump needs a directory.
 	FlightDir string
-	// StormWindow is the sliding window for storm detection; 0 selects
-	// DefaultStormWindow.
-	StormWindow time.Duration
-	// StormReassigns trips a lease-storm anomaly when that many lease
-	// reassignments land within StormWindow; 0 selects
-	// DefaultStormReassigns, negative disables.
-	StormReassigns int
-	// StormDeaths trips a heartbeat-loss anomaly when that many workers die
-	// within StormWindow; 0 selects DefaultStormDeaths, negative disables.
-	StormDeaths int
-	// StatusPoll is the /v1/cluster/live SSE refresh period; 0 selects
-	// DefaultStatusPoll.
-	StatusPoll time.Duration
 }
 
 // withDefaults resolves zero fields.
@@ -117,26 +91,9 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if c.ExpireAfter <= 0 {
-		c.ExpireAfter = 5 * c.HeartbeatEvery
-	}
-	if c.RingReplicas <= 0 {
-		c.RingReplicas = DefaultRingReplicas
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if c.StormWindow <= 0 {
-		c.StormWindow = DefaultStormWindow
-	}
-	if c.StormReassigns == 0 {
-		c.StormReassigns = DefaultStormReassigns
-	}
-	if c.StormDeaths == 0 {
-		c.StormDeaths = DefaultStormDeaths
-	}
-	if c.StatusPoll <= 0 {
-		c.StatusPoll = DefaultStatusPoll
-	}
 	return c
 }
+
+// expireAfter is how long a worker may stay silent before it is declared
+// dead.
+func (c Config) expireAfter() time.Duration { return 5 * c.HeartbeatEvery }

@@ -40,7 +40,7 @@ func TestClusterStubDispatch(t *testing.T) {
 	if got := tc.metric("thermserved_cluster_leases_granted_total"); got < cells {
 		t.Errorf("leases granted %v, want >= %d", got, cells)
 	}
-	// All three workers should have taken a share of 24 hashed cells.
+	// All three workers should have taken a share of the 24 cells.
 	var total int64
 	for _, w := range tc.workers {
 		if w.Executed() == 0 {

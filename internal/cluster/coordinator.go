@@ -24,6 +24,7 @@ import (
 // in-process.
 type Coordinator struct {
 	cfg     Config
+	client  *http.Client
 	pool    *service.Pool
 	members *Membership
 	leases  *Leases
@@ -58,10 +59,11 @@ func NewCoordinator(pool *service.Pool, cfg Config) *Coordinator {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:     cfg,
+		client:  &http.Client{Timeout: assignTimeout},
 		pool:    pool,
-		members: NewMembership(cfg.RingReplicas),
+		members: NewMembership(),
 		leases:  NewLeases(),
-		events:  NewClusterRecorder(cfg.FlightDir, cfg.StormWindow, cfg.StormReassigns, cfg.StormDeaths, pool.Registry()),
+		events:  NewClusterRecorder(cfg.FlightDir, DefaultStormWindow, DefaultStormReassigns, DefaultStormDeaths, pool.Registry()),
 		mux:     http.NewServeMux(),
 		status:  http.NewServeMux(),
 		log:     telemetry.Component("coordinator"),
@@ -120,7 +122,7 @@ func (c *Coordinator) Handler() http.Handler { return requireSecret(c.cfg.Secret
 func (c *Coordinator) Start() {
 	go func() {
 		defer close(c.done)
-		period := c.cfg.ExpireAfter / 4
+		period := c.cfg.expireAfter() / 4
 		if period < 10*time.Millisecond {
 			period = 10 * time.Millisecond
 		}
@@ -131,7 +133,7 @@ func (c *Coordinator) Start() {
 			case <-c.ctx.Done():
 				return
 			case <-tick.C:
-				for _, id := range c.members.Sweep(c.cfg.ExpireAfter) {
+				for _, id := range c.members.Sweep(c.cfg.expireAfter()) {
 					n := c.leases.ExpireWorker(id)
 					c.workersDead.Inc()
 					c.events.Record(ClusterEvent{Kind: EventWorkerDead, Worker: id,
@@ -150,8 +152,9 @@ func (c *Coordinator) Stop() {
 }
 
 // RunCell is the pool's CellRunner in cluster mode: lease the cell to the
-// consistent-hash owner among live workers, wait for the result to stream
-// back, and reassign on expiry — forever, until the job's context is cut.
+// live worker with the most free capacity, wait for the result to stream
+// back, and reassign on expiry — to another worker when one has a free slot
+// — forever, until the job's context is cut.
 // Only cells without a journaled outcome ever reach this point (the pool
 // re-feeds exactly the uncommitted cells, live or after a restart), so
 // reassignment can never double-commit a cell.
@@ -165,8 +168,9 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 	// dispatch context; every tracer method is nil-safe, so standalone tests
 	// that call RunCell without one need no branches here.
 	tracer, cellSpan := telemetry.SpanFromContext(ctx)
+	avoid := ""
 	for attempt := 0; ; attempt++ {
-		wid, wurl, err := c.members.Acquire(ctx, key, attempt)
+		wid, wurl, err := c.members.Acquire(ctx, avoid)
 		if err != nil {
 			return nil, "", err
 		}
@@ -222,6 +226,7 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 		case <-lease.Expired():
 			c.leasesExpired.Inc()
 			c.members.Release(wid)
+			avoid = wid
 			tracer.End(dispatchSpan, telemetry.Bool("expired", true))
 			c.events.Record(ClusterEvent{Kind: EventLeaseExpired, Worker: wid, Job: job, Cell: idx,
 				Detail: fmt.Sprintf("lease %d", lease.ID)})
@@ -276,7 +281,7 @@ func (c *Coordinator) deliverAssign(wid, wurl string, lease *Lease, req AssignRe
 		c.leases.Expire(lease)
 		return
 	}
-	resp, err := postJSON(c.cfg.Client, c.cfg.Secret, wurl+"/cluster/v1/assign", body)
+	resp, err := postJSON(c.client, c.cfg.Secret, wurl+"/cluster/v1/assign", body)
 	if err != nil {
 		c.log.Warn("assignment undeliverable", "worker", wid, "job", req.Job, "cell", req.Cell, "err", err)
 		c.leases.Expire(lease)
@@ -319,7 +324,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.log.Info("worker registered", "worker", req.ID, "url", req.URL, "capacity", req.Capacity)
 	httpJSON(w, http.StatusOK, RegisterResponse{
 		HeartbeatEveryMs: c.cfg.HeartbeatEvery.Milliseconds(),
-		ExpireAfterMs:    c.cfg.ExpireAfter.Milliseconds(),
+		ExpireAfterMs:    c.cfg.expireAfter().Milliseconds(),
 		LeaseTTLMs:       c.cfg.LeaseTTL.Milliseconds(),
 	})
 }

@@ -27,7 +27,7 @@ func TestHeartbeatExpiry(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for tc.coord.Membership().Alive() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("silent worker still alive after %s", testClusterConfig().ExpireAfter)
+			t.Fatalf("silent worker still alive after %s", testClusterConfig().expireAfter())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

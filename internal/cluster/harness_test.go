@@ -14,12 +14,11 @@ import (
 )
 
 // testClusterConfig is a tight-timing config for in-process tests: worker
-// death is detected in ~a quarter second instead of ten.
+// death is detected in ~a quarter second (5 heartbeats) instead of ten.
 func testClusterConfig() Config {
 	return Config{
 		LeaseTTL:       time.Minute,
 		HeartbeatEvery: 50 * time.Millisecond,
-		ExpireAfter:    250 * time.Millisecond,
 	}
 }
 

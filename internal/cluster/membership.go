@@ -18,8 +18,8 @@ type member struct {
 	// inflight counts cells currently leased to this worker; bounded by
 	// capacity through Acquire.
 	inflight int
-	// assigned is the lifetime lease count, feeding the shard-imbalance
-	// gauge.
+	// assigned is the lifetime lease count: Acquire's tie-break and the
+	// shard-imbalance gauge.
 	assigned int64
 	// completed is the lifetime count of results this worker delivered.
 	completed int64
@@ -33,11 +33,10 @@ type member struct {
 }
 
 // Membership tracks registered workers, their heartbeats and their inflight
-// budgets, and owns the consistent-hash ring used for placement. All methods
-// are safe for concurrent use.
+// budgets, and places each cell on one of them. All methods are safe for
+// concurrent use.
 type Membership struct {
 	mu      sync.Mutex
-	ring    *ring
 	workers map[string]*member
 	// changed is closed and replaced whenever placement inputs change
 	// (registration, death, slot release), waking Acquire waiters.
@@ -45,11 +44,9 @@ type Membership struct {
 	now     func() time.Time
 }
 
-// NewMembership builds an empty membership with the given virtual-node
-// count.
-func NewMembership(ringReplicas int) *Membership {
+// NewMembership builds an empty membership.
+func NewMembership() *Membership {
 	return &Membership{
-		ring:    newRing(ringReplicas),
 		workers: make(map[string]*member),
 		changed: make(chan struct{}),
 		now:     time.Now,
@@ -85,7 +82,6 @@ func (m *Membership) Register(id, url string, capacity int) (replaced bool, err 
 		w.completed = old.completed
 	}
 	m.workers[id] = w
-	m.ring.Add(id)
 	m.broadcastLocked()
 	return ok, nil
 }
@@ -204,7 +200,6 @@ func (m *Membership) Sweep(expireAfter time.Duration) []string {
 		if w.lastBeat.Before(cutoff) {
 			dead = append(dead, id)
 			delete(m.workers, id)
-			m.ring.Remove(id)
 		}
 	}
 	if len(dead) > 0 {
@@ -223,32 +218,30 @@ func (m *Membership) Remove(id string) bool {
 		return false
 	}
 	delete(m.workers, id)
-	m.ring.Remove(id)
 	m.broadcastLocked()
 	return true
 }
 
-// Acquire blocks until a live worker with a free inflight slot is available
-// for key and claims one slot on it, returning the worker's id and URL.
-// Placement prefers the key's consistent-hash owner; attempt > 0 (a
-// reassignment after an expired lease) rotates the preference order so the
-// retry lands on the owner's ring successor instead of hammering the same
-// node. Release must be called exactly once per successful Acquire.
-func (m *Membership) Acquire(ctx context.Context, key string, attempt int) (id, url string, err error) {
+// Acquire blocks until a live worker has a free inflight slot and claims one,
+// returning the worker's id and URL. It takes the worker with the lowest
+// inflight/capacity ratio; ties go to the fewest lifetime assignments, then
+// to the lowest id. avoid names a worker to pass over (a reassignment passes
+// the one whose lease expired); it is taken only when no other worker has a
+// free slot. Release must be called exactly once per successful Acquire.
+func (m *Membership) Acquire(ctx context.Context, avoid string) (id, url string, err error) {
 	for {
 		m.mu.Lock()
-		seq := m.ring.Sequence(key)
-		if n := len(seq); n > 0 {
-			for i := 0; i < n; i++ {
-				w := m.workers[seq[(i+attempt)%n]]
-				if w == nil || w.inflight >= w.capacity {
-					continue
-				}
-				w.inflight++
-				w.assigned++
-				m.mu.Unlock()
-				return w.id, w.url, nil
+		var best *member
+		for _, w := range m.workers {
+			if w.inflight < w.capacity && (best == nil || placeBefore(w, best, avoid)) {
+				best = w
 			}
+		}
+		if best != nil {
+			best.inflight++
+			best.assigned++
+			m.mu.Unlock()
+			return best.id, best.url, nil
 		}
 		ch := m.changed
 		m.mu.Unlock()
@@ -258,6 +251,22 @@ func (m *Membership) Acquire(ctx context.Context, key string, attempt int) (id, 
 			return "", "", ctx.Err()
 		}
 	}
+}
+
+// placeBefore orders Acquire's candidates: any worker before avoid, then the
+// lower inflight/capacity ratio, the fewer lifetime assignments and the lower
+// id.
+func placeBefore(a, b *member, avoid string) bool {
+	if (a.id == avoid) != (b.id == avoid) {
+		return b.id == avoid
+	}
+	if l, r := a.inflight*b.capacity, b.inflight*a.capacity; l != r {
+		return l < r
+	}
+	if a.assigned != b.assigned {
+		return a.assigned < b.assigned
+	}
+	return a.id < b.id
 }
 
 // Release returns one inflight slot to a worker; a no-op for ids that died

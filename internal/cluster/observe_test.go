@@ -240,11 +240,11 @@ func TestClusterStatusEndpoint(t *testing.T) {
 }
 
 // TestClusterLiveSSE exercises the /v1/cluster/live stream: it must deliver a
-// status frame and the cluster events recorded so far.
+// status frame and the cluster events recorded so far. The stream's first
+// frame already carries every retained event, so the test does not wait on
+// the poll period.
 func TestClusterLiveSSE(t *testing.T) {
-	cfg := testClusterConfig()
-	cfg.StatusPoll = 20 * time.Millisecond
-	tc := startTestCluster(t, cfg, func(_ *service.Store, p *service.Pool) {
+	tc := startTestCluster(t, testClusterConfig(), func(_ *service.Store, p *service.Pool) {
 		p.SetPlanner(stubPlanner(3, 0))
 	})
 	tc.addWorker(2, stubExecutor(0))

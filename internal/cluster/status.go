@@ -85,8 +85,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleLiveStatus streams the cluster's live view over Server-Sent Events:
-// a "status" event (ClusterStatus JSON) every StatusPoll, interleaved with
-// one "cluster" event per new ClusterEvent. The stream starts at the oldest
+// a "status" event (ClusterStatus JSON) every DefaultStatusPoll, interleaved
+// with one "cluster" event per new ClusterEvent. The stream starts at the oldest
 // retained event, so a late-joining dashboard sees recent history first; a
 // client lagging past the ring resyncs at the oldest retained event.
 func (c *Coordinator) handleLiveStatus(w http.ResponseWriter, r *http.Request) {
@@ -109,7 +109,7 @@ func (c *Coordinator) handleLiveStatus(w http.ResponseWriter, r *http.Request) {
 		return err == nil
 	}
 	var cursor int64
-	tick := time.NewTicker(c.cfg.StatusPoll)
+	tick := time.NewTicker(DefaultStatusPoll)
 	defer tick.Stop()
 	for {
 		if !emit("status", c.Status()) {

@@ -94,12 +94,10 @@ type Config struct {
 	// WarmStart, when non-nil, seeds the agent from a previously learned
 	// Q-table (via rl.Agent.AdoptTable) instead of starting from zeros,
 	// so a restarted deployment resumes its accumulated policy. The table
-	// dimensions must match the configured state/action space.
+	// dimensions must match the configured state/action space. The adopted
+	// table learns at Agent.AlphaExp (moderate re-learning, the same rate an
+	// intra-application restore resumes at).
 	WarmStart *rl.QTable
-	// WarmStartAlpha is the learning rate installed alongside an adopted
-	// table; <= 0 selects Agent.AlphaExp (moderate re-learning, the same
-	// rate an intra-application restore resumes at).
-	WarmStartAlpha float64
 }
 
 // DefaultConfig returns the tuned controller configuration: 3 s sampling,
@@ -257,11 +255,7 @@ func New(cfg Config, p *platform.Platform) (*Controller, error) {
 			return nil, fmt.Errorf("core: warm-start table is %dx%d, controller configured for %dx%d",
 				cfg.WarmStart.NumStates(), cfg.WarmStart.NumActions(), cfg.Agent.NumStates, cfg.Agent.NumActions)
 		}
-		alpha := cfg.WarmStartAlpha
-		if alpha <= 0 {
-			alpha = cfg.Agent.AlphaExp
-		}
-		c.agent.AdoptTable(cfg.WarmStart, alpha)
+		c.agent.AdoptTable(cfg.WarmStart, cfg.Agent.AlphaExp)
 		c.warmStarted = true
 	}
 	return c, nil

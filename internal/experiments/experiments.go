@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -34,13 +33,6 @@ type Config struct {
 	// per-job seed from the submitted base seed so resubmitting a spec is
 	// bit-identical while distinct campaigns decorrelate.
 	Seed int64
-	// WarmStart, when non-nil, seeds the proposed controller of every run
-	// with a previously learned Q-table (adopted via rl.Agent.AdoptTable)
-	// instead of a zero table. Deterministic baselines are unaffected.
-	WarmStart *rl.QTable
-	// WarmStartAlpha is the learning rate adopted alongside WarmStart;
-	// <= 0 selects the agent's AlphaExp.
-	WarmStartAlpha float64
 	// CampaignJSON, when non-empty, is the declarative tournament document
 	// (the experiments.json spec) for the campaign planner. It is opaque
 	// bytes here so the fixed planner signature func(Config, id) can carry
@@ -48,12 +40,11 @@ type Config struct {
 	// submission, journal-recovery replanning and cluster cell dispatch —
 	// without this package depending on the campaign engine.
 	CampaignJSON []byte
-	// WarmCheckpoint is the raw resolved warm-start checkpoint payload, for
-	// policies whose learning state is not a proposed-controller Q-table
-	// (the campaign engine routes it to the registered policy that owns its
-	// kind). WarmStart above remains the decoded table for the proposed
-	// controller.
-	WarmCheckpoint []byte
+	// Warm, when non-nil, is the decoded warm-start checkpoint every run's
+	// policy is built with (policy.Options.Checkpoint): the learner that owns
+	// its kind starts from the saved state instead of a zero table, and every
+	// other policy ignores it. It is read-only, so concurrent cells share it.
+	Warm *policy.Checkpoint
 }
 
 // DefaultConfig returns the full-fidelity configuration.
@@ -92,35 +83,11 @@ func NewPolicy(name string) (sim.Policy, error) {
 	return policy.New(name, policy.Options{})
 }
 
-// newPolicy builds the policy for one run, threading the config's RL base
-// seed and warm-start table into the proposed controller (every other
-// policy is deterministic, so neither affects the baselines).
+// newPolicy builds the policy for one run from the registry, with the
+// config's RL base seed and warm-start checkpoint as its options (the
+// deterministic baselines ignore both).
 func newPolicy(cfg Config, name string) (sim.Policy, error) {
-	p, err := NewPolicy(name)
-	if err != nil {
-		return p, err
-	}
-	if pp, ok := p.(*sim.ProposedPolicy); ok {
-		configureProposed(cfg, pp)
-	}
-	return p, nil
-}
-
-// configureProposed threads the config's RL base seed and warm-start state
-// into a hand-built proposed policy. A policy whose controller config the
-// caller already pinned (parameter sweeps) is left untouched, as is the
-// default when there is nothing to thread.
-func configureProposed(cfg Config, pp *sim.ProposedPolicy) {
-	if pp.Config != nil || (cfg.Seed == 0 && cfg.WarmStart == nil) {
-		return
-	}
-	ctl := core.DefaultConfig()
-	if cfg.Seed != 0 {
-		ctl.Agent.Seed = cfg.Seed
-	}
-	ctl.WarmStart = cfg.WarmStart
-	ctl.WarmStartAlpha = cfg.WarmStartAlpha
-	pp.Config = &ctl
+	return policy.New(name, policy.Options{Seed: cfg.Seed, Checkpoint: cfg.Warm})
 }
 
 // PolicyFor is the exported form of newPolicy: a fresh policy instance for

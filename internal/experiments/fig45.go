@@ -42,8 +42,12 @@ func Fig45(cfg Config) (*Fig45Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp := &sim.ProposedPolicy{History: true}
-	configureProposed(cfg, pp)
+	pol, err := newPolicy(cfg, PolicyProposed)
+	if err != nil {
+		return nil, err
+	}
+	pp := pol.(*sim.ProposedPolicy)
+	pp.History = true
 	prop, err := sim.Run(cfg.Run, app, pp)
 	if err != nil {
 		return nil, err

@@ -24,9 +24,9 @@ func (p *Pool) Checkpoints() *durable.CheckpointStore { return p.checkpoints }
 // applyWarmStart resolves a warm_start checkpoint name into the config's
 // warm-start state. An empty name is a no-op; a named checkpoint requires an
 // attached store and a payload that decodes as a known checkpoint kind. The
-// routing itself — proposed-kind tables onto cfg.WarmStart with dimension
-// validation, other kinds as raw bytes for a tournament's policies — is
-// campaign.ApplyWarmPayload, shared with the cluster worker.
+// decoding and validation — dimension checks for proposed-kind tables, other
+// kinds only for a tournament's policies — is campaign.ApplyWarmPayload,
+// shared with the cluster worker.
 func (p *Pool) applyWarmStart(cfg *experiments.Config, experiment, name string) error {
 	if name == "" {
 		return nil

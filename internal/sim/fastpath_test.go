@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -81,8 +82,9 @@ func TestGoldenFixedMatchesImplicit(t *testing.T) {
 	}
 }
 
-// TestDiscardTraceMatchesRetained requires the streaming scalar path
-// (DiscardTrace) to reproduce the retained-trace metrics bit for bit.
+// TestDiscardTraceMatchesRetained requires DiscardTrace to drop the traces
+// and change nothing else: every scalar metric equals the retained-trace
+// run's bit for bit.
 func TestDiscardTraceMatchesRetained(t *testing.T) {
 	run := func(discard bool) *Result {
 		cfg := DefaultRunConfig()
@@ -116,63 +118,75 @@ func TestDiscardTraceMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestDiscardTraceShortRun exercises the streaming path on a run that ends
-// before the warmup-trim decision: like trimWarmup's guard, nothing may be
-// trimmed.
-func TestDiscardTraceShortRun(t *testing.T) {
-	mk := func() *workload.Application {
-		sp := workload.TachyonSpec(workload.Set3)
-		sp.Iterations = 1
-		return sp.Generate()
+// TestMetricsMatchBatchReference recomputes each run's thermal metrics from
+// its retained trace with the batch reliability functions — over the samples
+// past the warmup cut, which drops the first WarmupSkipS seconds only when the
+// trace holds more than skip+10 samples — and requires the streaming
+// collector's values bit for bit. The cases cover a run the cut trims, a run
+// too short to trim, and a learner whose damage attribution is armed on the
+// same collector.
+func TestMetricsMatchBatchReference(t *testing.T) {
+	cases := []struct {
+		name   string
+		skipS  float64
+		policy func() Policy
+		cut    bool
+	}{
+		{"warmup-cut", 5, func() Policy { return LinuxPolicy{Kind: governor.Ondemand} }, true},
+		{"short-run", 45, func() Policy { return LinuxPolicy{Kind: governor.Ondemand} }, false},
+		{"learning-attribution", 5, func() Policy { return &ProposedPolicy{} }, true},
 	}
-	cfg := DefaultRunConfig()
-	full, err := Run(cfg, mk(), LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := trimWarmup(full.Trace, cfg.WarmupSkipS); got != full.Trace {
-		t.Skip("run long enough to trim; short-run guard not exercised")
-	}
-	cfg.DiscardTrace = true
-	slim, err := Run(cfg, mk(), LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.AvgTempC != slim.AvgTempC || full.CyclingMTTF != slim.CyclingMTTF || full.AgingMTTF != slim.AgingMTTF {
-		t.Errorf("short-run metrics differ: retained (%.17g, %.17g, %.17g) vs streaming (%.17g, %.17g, %.17g)",
-			full.AvgTempC, full.CyclingMTTF, full.AgingMTTF, slim.AvgTempC, slim.CyclingMTTF, slim.AgingMTTF)
-	}
-}
-
-// TestTrimWarmupSharesBacking asserts the warm view reslices the recorded
-// samples in place — no copy — and still feeds ChipMTTF exactly like an
-// explicitly copied trimmed trace would.
-func TestTrimWarmupSharesBacking(t *testing.T) {
-	cfg := DefaultRunConfig()
-	cfg.WarmupSkipS = 5 // low enough that the short test run still trims
-	res, err := Run(cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := trimWarmup(res.Trace, cfg.WarmupSkipS)
-	if warm == res.Trace {
-		t.Fatal("run too short for the trim to engage")
-	}
-	skip := int(cfg.WarmupSkipS / res.Trace.IntervalS)
-	for c := range warm.Cores {
-		if &warm.Cores[c].Values[0] != &res.Trace.Cores[c].Values[skip] {
-			t.Fatalf("core %d: warm view copied the samples instead of reslicing", c)
-		}
-	}
-	// An explicit deep copy of the trimmed samples must give the same MTTFs.
-	copied := trace.NewMultiTrace(len(warm.Cores), warm.IntervalS)
-	for c, s := range warm.Cores {
-		copied.Cores[c].Values = append([]float64(nil), s.Values...)
-	}
-	vc, va := ChipMTTF(cfg, warm)
-	cc, ca := ChipMTTF(cfg, copied)
-	if vc != cc || va != ca {
-		t.Errorf("ChipMTTF on view (%.17g, %.17g) vs copy (%.17g, %.17g)", vc, va, cc, ca)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultRunConfig()
+			cfg.WarmupSkipS = tc.skipS
+			res, curve := runLearning(t, cfg, tc.policy())
+			if _, learns := tc.policy().(LearningAttacher); learns && curve == nil {
+				t.Fatal("learner never reached the observer")
+			}
+			skip := int(cfg.WarmupSkipS / res.Trace.IntervalS)
+			if cut := res.Trace.Len() > skip+10; cut != tc.cut {
+				t.Fatalf("%d samples with skip %d: cut engaged = %v, want %v", res.Trace.Len(), skip, cut, tc.cut)
+			}
+			var sum float64
+			var n int
+			peak := math.Inf(-1)
+			cycling, aging := math.Inf(1), math.Inf(1)
+			stress := make([]float64, len(res.Trace.Cores))
+			for c, s := range res.Trace.Cores {
+				vals := s.Values
+				if tc.cut {
+					vals = vals[skip:]
+				}
+				var cs float64
+				for _, v := range vals {
+					cs += v
+					peak = max(peak, v)
+				}
+				sum += cs
+				n += len(vals)
+				stress[c] = cfg.Cycling.ThermalStress(reliability.Rainflow(vals))
+				cycling = min(cycling, cfg.Cycling.CyclingMTTFFromStress(stress[c], float64(len(vals))*res.Trace.IntervalS))
+				aging = min(aging, cfg.Aging.AgingMTTFFromSeries(vals))
+			}
+			checks := map[string][2]float64{
+				"AvgTempC":    {sum / float64(n), res.AvgTempC},
+				"PeakTempC":   {peak, res.PeakTempC},
+				"CyclingMTTF": {cycling, res.CyclingMTTF},
+				"AgingMTTF":   {aging, res.AgingMTTF},
+			}
+			if len(res.CoreCyclingStress) != len(stress) {
+				t.Fatalf("CoreCyclingStress has %d cores, want %d", len(res.CoreCyclingStress), len(stress))
+			}
+			for c, v := range stress {
+				checks[fmt.Sprintf("CoreCyclingStress[%d]", c)] = [2]float64{v, res.CoreCyclingStress[c]}
+			}
+			for name, v := range checks {
+				if v[0] != v[1] {
+					t.Errorf("%s: batch reference %.17g vs collector %.17g", name, v[0], v[1])
+				}
+			}
+		})
 	}
 }
 

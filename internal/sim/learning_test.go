@@ -107,10 +107,9 @@ func TestLearningSamplingIsObservationOnly(t *testing.T) {
 	}
 }
 
-// TestLearningStressIdenticalAcrossTracePaths: the streaming accumulators
-// must attribute exactly what the retained-trace rainflow computes, so
-// CoreCyclingStress (and the shares derived from it) are bit-identical
-// whether the trace is kept or discarded.
+// TestLearningStressIdenticalAcrossTracePaths: CoreCyclingStress, the shares
+// derived from it and the attributed damage are bit-identical whether the
+// trace is kept or discarded.
 func TestLearningStressIdenticalAcrossTracePaths(t *testing.T) {
 	retained := DefaultRunConfig()
 	streaming := DefaultRunConfig()

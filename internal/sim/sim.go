@@ -43,12 +43,11 @@ type RunConfig struct {
 	// the single ambient-to-operating ramp would be rainflow-counted as one
 	// giant cycle and dominate the fatigue stress of every policy alike).
 	WarmupSkipS float64
-	// DiscardTrace, when set, computes the thermal metrics online through
-	// the streaming rainflow/MTTF accumulators instead of retaining the
-	// oracle traces: Result.Trace and Result.PowerTrace are nil and the run
-	// holds only a bounded warmup buffer. The scalar metrics are identical
-	// to the retained-trace path. Use it for experiment rows that only need
-	// scalars; leave it off when the trace itself is exported (plots, CSV).
+	// DiscardTrace, when set, drops the oracle traces: Result.Trace and
+	// Result.PowerTrace are nil. The thermal metrics are computed online by
+	// the streaming rainflow/MTTF accumulators either way, so they do not
+	// depend on it. Use it for experiment rows that only need scalars; leave
+	// it off when the trace itself is exported (plots, CSV).
 	DiscardTrace bool
 	// Cycling and Aging are the reliability constants for ground-truth
 	// MTTF computation.
@@ -174,18 +173,15 @@ func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) 
 // runState is the per-run state of the simulation loop: Run is newRun, then
 // step until done, then finish.
 type runState struct {
-	cfg     RunConfig
-	work    workload.Workload
-	policy  Policy
-	p       *platform.Platform
-	runSpan telemetry.SpanID
-	guard   *runGuard
-	windows *windowAgg
-	mt, pt  *trace.MultiTrace
-	// sc is the DiscardTrace scalar sink; at is an attribution-only streaming
-	// feed used when the trace is retained (sc == nil) but a sampler wants
-	// per-cycle damage attribution.
-	sc, at     *scalarCollector
+	cfg        RunConfig
+	work       workload.Workload
+	policy     Policy
+	p          *platform.Platform
+	runSpan    telemetry.SpanID
+	guard      *runGuard
+	windows    *windowAgg
+	mt, pt     *trace.MultiTrace // nil under DiscardTrace
+	sc         *scalarCollector
 	learn      *rl.LearningSampler
 	nextRecord float64
 	steps      int64
@@ -221,9 +217,8 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, er
 	}
 	r.guard = newRunGuard(cfg, policy.Name()+"/"+work.Name())
 	r.windows = newWindowAgg(cfg, r.runSpan)
-	if cfg.DiscardTrace {
-		r.sc = newScalarCollector(cfg, r.p.NumCores())
-	} else {
+	r.sc = newScalarCollector(cfg, r.p.NumCores())
+	if !cfg.DiscardTrace {
 		// Pre-size the series so the recording loop never grows a slice
 		// mid-run. The estimate is the serialized-at-lowest-frequency upper
 		// bound on execution time, clamped to the runaway limit; in the rare
@@ -233,12 +228,7 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, er
 		r.pt = trace.NewMultiTraceCap(r.p.NumCores(), cfg.RecordIntervalS, capacity)
 	}
 	if r.learn != nil {
-		attr := r.sc
-		if attr == nil {
-			r.at = newScalarCollector(cfg, r.p.NumCores())
-			attr = r.at
-		}
-		armAttribution(attr.accs, la, r.learn)
+		armAttribution(r.sc.accs, la, r.learn)
 	}
 	return r, nil
 }
@@ -267,14 +257,10 @@ func (r *runState) step() (done bool, err error) {
 	if p.Now()+1e-9 >= r.nextRecord {
 		temps := p.Temperatures()
 		power := p.CorePower()
-		if r.sc != nil {
-			r.sc.push(temps)
-		} else {
+		r.sc.push(temps)
+		if r.mt != nil {
 			r.mt.Append(temps)
 			r.pt.Append(power)
-			if r.at != nil {
-				r.at.push(temps)
-			}
 		}
 		if r.guard != nil {
 			r.guard.sample(p.Now(), temps)
@@ -297,12 +283,9 @@ func (r *runState) finish() *Result {
 	if r.windows != nil {
 		r.windows.flush(p.Now())
 	}
-	if r.at != nil {
-		// Flush the attribution feed's residual half cycles (attributed to
-		// the final decision, the one still in force when the run ended).
-		r.at.drain(*cfg)
-	}
-	res := collect(*cfg, p, r.mt, r.pt, r.sc, r.policy.Name(), r.work.Name())
+	// collect flushes the accumulators' residual half cycles, so their
+	// damage is attributed to the final decision before the sampler closes.
+	res := r.collect()
 	if r.learn != nil {
 		r.learn.Finalize()
 		cfg.LearningObserver(rl.RunCurve{
@@ -326,13 +309,16 @@ func (r *runState) finish() *Result {
 	return res
 }
 
-func collect(cfg RunConfig, p *platform.Platform, mt, pt *trace.MultiTrace, sc *scalarCollector, policy, wl string) *Result {
+// collect assembles the run's Result from the platform's meters and
+// counters and the collector's thermal metrics.
+func (r *runState) collect() *Result {
+	p := r.p
 	res := &Result{
-		Policy:         policy,
-		Workload:       wl,
+		Policy:         r.policy.Name(),
+		Workload:       r.work.Name(),
 		ExecTimeS:      p.Now(),
-		Trace:          mt,
-		PowerTrace:     pt,
+		Trace:          r.mt,
+		PowerTrace:     r.pt,
 		DynamicEnergyJ: p.Meter().DynamicEnergy(),
 		StaticEnergyJ:  p.Meter().StaticEnergy(),
 		AvgDynPowerW:   p.Meter().AverageDynamicPower(),
@@ -341,31 +327,7 @@ func collect(cfg RunConfig, p *platform.Platform, mt, pt *trace.MultiTrace, sc *
 		Migrations:     p.Scheduler().Migrations(),
 		AppSwitches:    p.AppSwitches(),
 	}
-	var cycles int64
-	if sc != nil {
-		cycles = sc.finish(cfg, res)
-	} else {
-		warm := trimWarmup(mt, cfg.WarmupSkipS)
-		res.AvgTempC = warm.AverageTemperature()
-		res.PeakTempC = warm.PeakTemperature()
-		// One rainflow pass per core feeds the cycle tally, the per-core
-		// stress surface, and the chip MTTF reduction alike (ChipMTTF would
-		// redo the counting per metric).
-		res.CyclingMTTF, res.AgingMTTF = math.Inf(1), math.Inf(1)
-		res.CoreCyclingStress = make([]float64, len(warm.Cores))
-		for i, s := range warm.Cores {
-			rf := reliability.Rainflow(s.Values)
-			cycles += int64(len(rf))
-			stress := cfg.Cycling.ThermalStress(rf)
-			res.CoreCyclingStress[i] = stress
-			if c := cfg.Cycling.CyclingMTTFFromStress(stress, float64(len(s.Values))*warm.IntervalS); c < res.CyclingMTTF {
-				res.CyclingMTTF = c
-			}
-			if a := cfg.Aging.AgingMTTFFromSeries(s.Values); a < res.AgingMTTF {
-				res.AgingMTTF = a
-			}
-		}
-	}
+	cycles := r.sc.finish(r.cfg, res)
 	res.CoreDamageShare = damageShares(res.CoreCyclingStress)
 	res.CombinedMTTF = reliability.CombinedMTTF(res.CyclingMTTF, res.AgingMTTF)
 
@@ -397,31 +359,12 @@ func traceCapacity(cfg RunConfig, work workload.Workload) int {
 	return int(worstS/cfg.RecordIntervalS) + 2
 }
 
-// trimWarmup returns a view of the trace with the first skipS seconds
-// removed (or the original trace itself if too short to trim). The view
-// reslices each core's sample storage in place — no sample is copied — so
-// the retained full trace and the warm view share one backing array.
-func trimWarmup(mt *trace.MultiTrace, skipS float64) *trace.MultiTrace {
-	skip := int(skipS / mt.IntervalS)
-	if skip <= 0 || mt.Len() <= skip+10 {
-		return mt
-	}
-	out := &trace.MultiTrace{IntervalS: mt.IntervalS, Cores: make([]*trace.Series, len(mt.Cores))}
-	series := make([]trace.Series, len(mt.Cores))
-	for i, s := range mt.Cores {
-		series[i] = trace.Series{IntervalS: s.IntervalS, Values: s.Values[skip:]}
-		out.Cores[i] = &series[i]
-	}
-	return out
-}
-
-// scalarCollector is the DiscardTrace sampling sink: it reproduces exactly
-// the metrics the retained-trace path derives (warmup trim, per-core
-// average/peak, streaming rainflow cycling MTTF and incremental aging MTTF)
-// without keeping the samples. Only the warmup head is buffered, because the
-// trim decision — skip the first skipS seconds, but only when the run is
-// long enough (trimWarmup's guard) — can't be made until enough samples have
-// arrived.
+// scalarCollector derives every run's thermal metrics from the sampled core
+// temperatures as they arrive: the warmup trim, per-core average/peak,
+// streaming rainflow cycling MTTF and incremental aging MTTF, without keeping
+// the samples. Only the warmup head is buffered, because the trim decision —
+// skip the first WarmupSkipS seconds, but only when the run records more than
+// skip+10 samples — can't be made until enough samples have arrived.
 type scalarCollector struct {
 	skip      int // samples to drop when trimming engages
 	buffering bool
@@ -493,7 +436,7 @@ func (sc *scalarCollector) feed(c int, v float64) {
 // count (the mCycles metric).
 func (sc *scalarCollector) finish(cfg RunConfig, res *Result) int64 {
 	if sc.buffering {
-		// Run ended before the trim decision: like trimWarmup's guard, keep
+		// Run ended before the trim decision: too short to trim, keep
 		// everything.
 		for i := 0; i < sc.head.Len(); i++ {
 			sc.feedAt(sc.head, i)
@@ -530,21 +473,6 @@ func (sc *scalarCollector) finish(cfg RunConfig, res *Result) int64 {
 	return cycles
 }
 
-// drain closes an attribution-only collector: replay a still-buffered head
-// (run too short for the warmup trim) and flush every core's residual half
-// cycles through the rainflow streams so the on-cycle hooks see them.
-func (sc *scalarCollector) drain(cfg RunConfig) {
-	if sc.buffering {
-		for i := 0; i < sc.head.Len(); i++ {
-			sc.feedAt(sc.head, i)
-		}
-		sc.head = nil
-	}
-	for c := range sc.accs {
-		sc.accs[c].Finish(cfg.RecordIntervalS)
-	}
-}
-
 // armAttribution points every core accumulator's cycle hook at the sampler,
 // pinning each closing cycle's stress delta to the decision in force.
 func armAttribution(accs []*reliability.MTTFAccumulator, la LearningAttacher, learn *rl.LearningSampler) {
@@ -576,21 +504,4 @@ func damageShares(stress []float64) []float64 {
 		}
 	}
 	return shares
-}
-
-// ChipMTTF computes the chip-level cycling and aging MTTFs (years) from an
-// oracle trace: the minimum over cores (the weakest core limits lifetime).
-func ChipMTTF(cfg RunConfig, mt *trace.MultiTrace) (cycling, aging float64) {
-	cycling, aging = math.Inf(1), math.Inf(1)
-	for _, s := range mt.Cores {
-		c := cfg.Cycling.CyclingMTTFFromSeries(s.Values, mt.IntervalS)
-		a := cfg.Aging.AgingMTTFFromSeries(s.Values)
-		if c < cycling {
-			cycling = c
-		}
-		if a < aging {
-			aging = a
-		}
-	}
-	return cycling, aging
 }

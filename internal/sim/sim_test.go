@@ -159,47 +159,6 @@ func TestFixedAffinityReappliesOnSwitch(t *testing.T) {
 	}
 }
 
-func TestTrimWarmup(t *testing.T) {
-	cfg := DefaultRunConfig()
-	res, err := Run(cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmed := trimWarmup(res.Trace, 5)
-	if trimmed.Len() >= res.Trace.Len() {
-		t.Error("warmup trim removed nothing")
-	}
-	wantRemoved := int(5 / res.Trace.IntervalS)
-	if got := res.Trace.Len() - trimmed.Len(); got != wantRemoved {
-		t.Errorf("trimmed %d samples, want %d", got, wantRemoved)
-	}
-	// Too-short traces are returned unchanged.
-	same := trimWarmup(res.Trace, 1e9)
-	if same != res.Trace {
-		t.Error("over-long skip should return the original trace")
-	}
-}
-
-func TestChipMTTFWorstCore(t *testing.T) {
-	cfg := DefaultRunConfig()
-	res, err := Run(cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc, age := ChipMTTF(cfg, res.Trace)
-	// Chip MTTF must not exceed any single core's MTTF.
-	for _, s := range res.Trace.Cores {
-		c := cfg.Cycling.CyclingMTTFFromSeries(s.Values, res.Trace.IntervalS)
-		a := cfg.Aging.AgingMTTFFromSeries(s.Values)
-		if cyc > c+1e-9 || age > a+1e-9 {
-			t.Error("chip MTTF exceeds a core MTTF")
-		}
-	}
-	if math.IsInf(age, 1) {
-		t.Error("aging MTTF should be finite for a loaded chip")
-	}
-}
-
 // Reproducibility: identical configuration yields identical results.
 func TestRunDeterministic(t *testing.T) {
 	r1, err := Run(DefaultRunConfig(), lightApp(), LinuxPolicy{Kind: governor.Ondemand})
