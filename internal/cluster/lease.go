@@ -12,12 +12,15 @@ import (
 // Result is one cell outcome streamed back by a worker; exactly one of Row
 // and Err is meaningful. Spans and ExecUS are the observability piggyback:
 // the worker-side span batch (already clock-aligned) and the remote wall
-// time, delivered to the dispatcher alongside the result.
+// time, delivered to the dispatcher alongside the result. Arrived is when
+// the completion reached the coordinator, before its body was decoded: the
+// start of the cell's commit phase.
 type Result struct {
-	Row    json.RawMessage
-	Err    string
-	Spans  []telemetry.Span
-	ExecUS int64
+	Row     json.RawMessage
+	Err     string
+	Spans   []telemetry.Span
+	ExecUS  int64
+	Arrived time.Time
 }
 
 // Lease is one time-bounded cell assignment. The dispatching goroutine
