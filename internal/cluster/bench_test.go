@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
 	"log/slog"
+	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/telemetry"
 )
 
 // BenchmarkClusterDispatch measures coordinator dispatch throughput: a b.N-cell
@@ -34,4 +40,60 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	if final.Progress.DoneCells != b.N {
 		b.Fatalf("dispatched %d cells, want %d", final.Progress.DoneCells, b.N)
 	}
+}
+
+// countingTransport counts the request bytes posted to the coordinator's
+// complete route.
+type countingTransport struct{ posted *atomic.Int64 }
+
+func (t countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/cluster/v1/complete") {
+		t.posted.Add(r.ContentLength)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// BenchmarkClusterSpanDispatch is BenchmarkClusterDispatch with a real span
+// batch on every completion: each cell's executor records one
+// example-tournament run's spans (recordedRun, 104 spans, less its exec
+// root) under the worker's exec span, so ns/op adds the worker's encode and
+// the coordinator's decode and import of a typical batch. payload-B/cell is
+// the completion bytes posted per cell.
+func BenchmarkClusterSpanDispatch(b *testing.B) {
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.DiscardHandler))
+	b.Cleanup(func() { slog.SetDefault(prev) })
+
+	var run []telemetry.Span
+	for _, sp := range recordedBatch(b) {
+		if sp.Kind != telemetry.KindExec {
+			run = append(run, sp)
+		}
+	}
+	exec := func(ctx context.Context, spec service.Spec, cell int, _ json.RawMessage) (json.RawMessage, error) {
+		tr, parent := telemetry.SpanFromContext(ctx)
+		tr.Import(parent, run)
+		return json.Marshal(stubRow(cell))
+	}
+	var posted atomic.Int64
+	tc := startTestCluster(b, testClusterConfig(), func(_ *service.Store, p *service.Pool) {
+		p.SetPlanner(stubPlanner(b.N, 0))
+	})
+	tc.workerClient = &http.Client{Timeout: 10 * time.Second, Transport: countingTransport{&posted}}
+	for i := 0; i < 3; i++ {
+		tc.addWorker(8, exec)
+	}
+	b.ResetTimer()
+	final := tc.submitAndWait(service.Spec{Experiment: "suite", Quick: true}, 10*time.Minute)
+	b.StopTimer()
+	if final.State != service.StateDone {
+		b.Fatalf("bench job finished %s: %s", final.State, final.Error)
+	}
+	if final.Progress.DoneCells != b.N {
+		b.Fatalf("dispatched %d cells, want %d", final.Progress.DoneCells, b.N)
+	}
+	if got := tc.metric("thermserved_cluster_spans_imported_total"); got < float64(b.N*(len(run)+1)) {
+		b.Fatalf("imported %v spans, want >= %d", got, b.N*(len(run)+1))
+	}
+	b.ReportMetric(float64(posted.Load())/float64(b.N), "payload-B/cell")
 }

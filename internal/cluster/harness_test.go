@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -31,8 +32,10 @@ type testCluster struct {
 	coord    *Coordinator
 	coordSrv *httptest.Server
 	secret   string
-	workers  []*Worker
-	servers  []*httptest.Server
+	// workerClient, when set, is the client addWorker hands its workers.
+	workerClient *http.Client
+	workers      []*Worker
+	servers      []*httptest.Server
 }
 
 // startTestCluster builds the coordinator side. mutate (optional) adjusts
@@ -79,6 +82,7 @@ func (tc *testCluster) addWorker(capacity int, exec Executor) *Worker {
 		AdvertiseURL:   "http://" + l.Addr().String(),
 		Capacity:       capacity,
 		Secret:         tc.secret,
+		Client:         tc.workerClient,
 	})
 	if err != nil {
 		tc.t.Fatal(err)

@@ -10,9 +10,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Wire types for the coordinator ⇄ worker HTTP protocol, all JSON. Durations
-// cross the wire as integer milliseconds so the payloads stay readable in
-// curl and logs.
+// Wire types for the coordinator ⇄ worker HTTP protocol: JSON bodies, except
+// that a completion carries its span batch as one binary field (spanwire.go),
+// which JSON sends as base64. Durations cross the wire as integer
+// milliseconds so the payloads stay readable in curl and logs. The
+// coordinator reads at most durable.MaxPayload bytes of a request body and
+// answers 413 past it.
 //
 // Coordinator routes (mounted under /cluster/v1/ on the public listener):
 //
@@ -124,9 +127,11 @@ type CompleteRequest struct {
 	LeaseID uint64          `json:"lease_id"`
 	Row     json.RawMessage `json:"row,omitempty"`
 	Err     string          `json:"err,omitempty"`
-	// Spans is the worker-side span batch for this cell (timestamps already
-	// shifted into the coordinator's clock by the worker's offset estimate).
-	Spans []telemetry.Span `json:"spans,omitempty"`
+	// SpanBatch is the worker-side span batch for this cell, encoded by
+	// encodeSpanBatch (timestamps already shifted into the coordinator's
+	// clock by the worker's offset estimate). A batch the coordinator
+	// cannot decode is logged and dropped; the result still commits.
+	SpanBatch []byte `json:"span_batch,omitempty"`
 	// ExecUS is the worker-side wall time of the cell execution in
 	// microseconds, for the coordinator's exec-latency histogram.
 	ExecUS int64 `json:"exec_us,omitempty"`

@@ -368,12 +368,7 @@ func (w *Worker) run(req AssignRequest) {
 	)
 	ctx := w.ctx
 	if req.Trace != nil {
-		tracer = telemetry.NewTracer(workerSpanBatchCap)
-		execSpan = tracer.Start(0, telemetry.KindExec,
-			fmt.Sprintf("exec %s/%d", req.Job, req.Cell),
-			telemetry.Str("worker", w.cfg.ID),
-			telemetry.Num("cell", float64(req.Cell)),
-			telemetry.Num("lease_id", float64(req.LeaseID)))
+		tracer, execSpan = w.execTracer(req)
 		ctx = telemetry.ContextWithSpan(ctx, tracer, execSpan)
 	}
 	execStart := time.Now()
@@ -401,7 +396,7 @@ func (w *Worker) run(req AssignRequest) {
 		return
 	}
 	if tracer != nil {
-		comp.Spans = w.spanBatch(tracer)
+		comp.SpanBatch = encodeSpanBatch(w.spanBatch(tracer))
 	}
 	if err != nil && w.ctx.Err() != nil {
 		// The execution context was cut out from under the cell (Kill, or a
@@ -410,12 +405,12 @@ func (w *Worker) run(req AssignRequest) {
 		// reassigns, instead of journaling a spurious permanent failure. The
 		// partial span batch is still worth archiving, though — flush it as a
 		// span-only completion so the trace shows what the drained cell did.
-		if len(comp.Spans) == 0 {
+		if comp.SpanBatch == nil {
 			return
 		}
 		if w.complete(CompleteRequest{
 			Worker: w.cfg.ID, Job: req.Job, Cell: req.Cell, LeaseID: req.LeaseID,
-			Spans: comp.Spans, Flush: true,
+			SpanBatch: comp.SpanBatch, Flush: true,
 		}) {
 			w.batchesFlushed.Add(1)
 		} else {
@@ -424,6 +419,17 @@ func (w *Worker) run(req AssignRequest) {
 		return
 	}
 	w.complete(comp)
+}
+
+// execTracer opens the tracer a traced assignment runs under, rooted at its
+// exec span.
+func (w *Worker) execTracer(req AssignRequest) (*telemetry.Tracer, telemetry.SpanID) {
+	tracer := telemetry.NewTracer(workerSpanBatchCap)
+	return tracer, tracer.Start(0, telemetry.KindExec,
+		fmt.Sprintf("exec %s/%d", req.Job, req.Cell),
+		telemetry.Str("worker", w.cfg.ID),
+		telemetry.Num("cell", float64(req.Cell)),
+		telemetry.Num("lease_id", float64(req.LeaseID)))
 }
 
 // spanBatch snapshots the assignment's tracer into a bounded, clock-aligned
