@@ -55,7 +55,7 @@ stress:
 # target. A new interesting input is minimized for at most a second, so a
 # fresh fuzz cache does not spend the smoke's time minimizing. A crasher lands
 # in the package's testdata/fuzz/ and becomes a corpus entry.
-FUZZ_TARGETS = FuzzDecodeSpanBatch
+FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics
 FUZZ_RUN = ^($(subst $(space),|,$(strip $(FUZZ_TARGETS))))$$
 fuzz-smoke:
 	@targets=$$($(GO) test -list '$(FUZZ_RUN)' ./internal/cluster | grep '^Fuzz'); \

@@ -69,21 +69,24 @@
 // README's "Cluster mode" section):
 //
 //   - standalone (default): everything above, cells run in-process.
-//   - coordinator: same public API and durability, but each cell is leased
-//     to the registered worker with the most free capacity, under a
-//     time-bounded lease, with /cluster/v1/* mounted for worker traffic. -lease-ttl and
+//   - coordinator: same public API and durability, but each cell is posted
+//     to the registered worker with the most free capacity as one HTTP
+//     exchange that returns the cell's result, bounded by -lease-ttl, with
+//     /cluster/v2/* mounted for worker traffic. -lease-ttl and
 //     -heartbeat-every tune failure detection. -workers here sizes the
 //     dispatch width (cluster-wide in-flight cell cap), not local execution;
 //     0 defaults to a generous 256 rather than NumCPU.
 //   - worker: no public job API; the node registers with the coordinator at
 //     -join, advertises itself at -advertise (default http://127.0.0.1<addr>
 //     when -addr has no host), heartbeats, and executes up to -capacity
-//     assigned cells concurrently.
+//     assigned cells concurrently. A coordinator without the /cluster/v2/
+//     routes (an older build) answers its registration 404, and the worker
+//     exits with that error.
 //
-// -cluster-secret, when set on the coordinator and every worker, gates all
-// /cluster/v1/* routes (both directions) behind a shared bearer token, so a
-// coordinator reachable from untrusted networks cannot be fed bogus worker
-// registrations.
+// -cluster-secret, when set on the coordinator and every worker, gates the
+// coordinator's /cluster/v2/* routes and the workers' assign route behind a
+// shared bearer token, so a coordinator reachable from untrusted networks
+// cannot be fed bogus worker registrations.
 //
 // -max-queue-cells bounds the standalone/coordinator admission queue: while
 // more cells than that are queued or running, POST /v1/jobs returns 429 with
@@ -125,7 +128,7 @@ func main() {
 	maxQueueCells := flag.Int("max-queue-cells", 0, "admission limit: queued+running cells above which POST /v1/jobs returns 429 (0 = unlimited)")
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: how long a worker holds a cell before it is reassigned")
 	heartbeatEvery := flag.Duration("heartbeat-every", cluster.DefaultHeartbeatEvery, "coordinator: worker heartbeat period (a worker silent for 5x this is declared dead)")
-	clusterSecret := flag.String("cluster-secret", "", "shared secret gating /cluster/v1/* (set on coordinator and every worker; empty = no auth)")
+	clusterSecret := flag.String("cluster-secret", "", "shared secret gating /cluster/v2/* (set on coordinator and every worker; empty = no auth)")
 	join := flag.String("join", "", "worker: coordinator base URL to register with")
 	advertise := flag.String("advertise", "", "worker: URL the coordinator reaches this node at (default http://127.0.0.1<addr> when -addr has no host)")
 	capacity := flag.Int("capacity", 0, "worker: max concurrently assigned cells (0 = number of CPUs)")
@@ -296,7 +299,7 @@ func main() {
 		// server's own exposition plus every worker's federated series.
 		apiServer.AppendMetrics(coord.WriteFederatedMetrics)
 		mux := http.NewServeMux()
-		mux.Handle("/cluster/v1/", coord.Handler())
+		mux.Handle("/cluster/v2/", coord.Handler())
 		mux.Handle("GET /v1/cluster/status", coord.StatusHandler())
 		mux.Handle("GET /v1/cluster/live", coord.StatusHandler())
 		mux.Handle("/", handler)
@@ -340,7 +343,7 @@ func main() {
 	}
 }
 
-// runWorker is the -role=worker main loop: serve /cluster/v1/assign plus
+// runWorker is the -role=worker main loop: serve /cluster/v2/assign plus
 // /healthz and /metrics on addr, register with the coordinator at join, and
 // heartbeat until the process is signalled.
 func runWorker(ctx context.Context, log *slog.Logger, addr, join, advertise, secret string, capacity int) {
@@ -393,10 +396,13 @@ func runWorker(ctx context.Context, log *slog.Logger, addr, join, advertise, sec
 	case <-ctx.Done():
 	}
 	log.Info("worker shutting down")
+	// Drain before closing the listener: in-flight cells finish and answer
+	// while new assignments get 503, so Shutdown only waits for those
+	// answers to reach the wire.
+	w.Stop()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Warn("http shutdown", "err", err)
 	}
-	w.Stop()
 }

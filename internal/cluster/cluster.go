@@ -4,23 +4,25 @@
 //
 // Topology: workers register with the coordinator over HTTP and send
 // periodic heartbeats. The coordinator keeps the public /v1/jobs API and the
-// durable journal, but instead of executing cells in-process it leases each
+// durable journal, but instead of executing cells in-process it hands each
 // one to the live worker with the most free capacity (the lowest
-// inflight/capacity ratio), granting each assignment a time-bounded lease.
-// Workers are stateless re-planners, so any of them can run any cell; free
-// slots alone decide placement. A worker executes its cell by replanning
-// the job's spec (cells are explicitly seeded, so any node computes the same
-// row) and streams the result back to the coordinator, which aggregates rows
-// bit-identically to a standalone run.
+// inflight/capacity ratio) as one time-bounded attempt, a lease. Workers are
+// stateless re-planners, so any of them can run any cell; free slots alone
+// decide placement. A worker executes its cell by replanning the job's spec
+// (cells are explicitly seeded, so any node computes the same row) and
+// answers the assignment with the result, one HTTP exchange per cell; the
+// coordinator aggregates rows bit-identically to a standalone run.
 //
-// Failure semantics: a worker that misses enough heartbeats is declared dead
-// — its leases are force-expired and the cells reassigned to another live
-// worker, the failed one taken again only when no other has a free slot. A
-// lease that outlives its TTL (slow or wedged worker) is reassigned the same
-// way; a late result arriving for an expired lease is dropped idempotently,
-// so a cell commits at most once. Because the coordinator journals every
-// committed cell through internal/durable, both in-process reassignment and
-// a full coordinator restart re-feed only the uncommitted cells.
+// Failure semantics: an attempt ends with a result, or it fails and the cell
+// is reassigned to another live worker, the failed one taken again only when
+// no other has a free slot. An attempt fails when it outlives its TTL (slow
+// or wedged worker), when its worker is declared dead after missing enough
+// heartbeats or re-registers, when the connection breaks, and when the
+// worker refuses it or answers something that does not decode. A failed
+// attempt's request is cancelled, so its result never arrives and a cell
+// commits at most once. Because the coordinator journals every committed
+// cell through internal/durable, both in-process reassignment and a full
+// coordinator restart re-feed only the uncommitted cells.
 //
 // Backpressure: admission control on /v1/jobs (queue-depth-aware 429 with
 // Retry-After, service.OverloadedError) bounds the coordinator's queue, and
@@ -32,19 +34,20 @@ import "time"
 
 // Defaults for Config fields left zero, and the coordinator's fixed limits.
 const (
-	// DefaultLeaseTTL bounds how long one cell assignment may stay
-	// outstanding before the coordinator reassigns it. It must exceed the
+	// DefaultLeaseTTL bounds how long one cell attempt may wait for the
+	// worker's answer before the coordinator reassigns it. It must exceed the
 	// longest cell runtime; campaign cells run minutes at full fidelity.
 	DefaultLeaseTTL = 10 * time.Minute
 	// DefaultHeartbeatEvery is the worker heartbeat period. A worker silent
-	// for five periods is declared dead and its leases are reassigned.
+	// for five periods is declared dead and its cells in flight are
+	// reassigned.
 	DefaultHeartbeatEvery = 2 * time.Second
 	// DefaultDispatchWidth is the coordinator's default pool size: each pool
 	// worker goroutine spends its life blocked in RunCell while the cell
 	// executes remotely, so the pool bounds cluster-wide in-flight cells and
 	// must be sized to the fleet's aggregate capacity, not the coordinator's
-	// own CPU count. Dispatchers are cheap (a goroutine parked on a lease
-	// channel), so the default is generous.
+	// own CPU count. Dispatchers are cheap (a goroutine parked on one HTTP
+	// exchange), so the default is generous.
 	DefaultDispatchWidth = 256
 	// DefaultStormWindow is the sliding window for cluster storm detection.
 	DefaultStormWindow = 10 * time.Second
@@ -57,19 +60,17 @@ const (
 	DefaultStormDeaths    = 3
 	// DefaultStatusPoll is the /v1/cluster/live SSE refresh period.
 	DefaultStatusPoll = time.Second
-	// assignTimeout bounds one coordinator → worker assignment request (the
-	// ACK is immediate; results stream back on a separate connection).
-	assignTimeout = 10 * time.Second
 )
 
 // Config parameterizes a Coordinator. The zero value selects every default.
 type Config struct {
-	// LeaseTTL bounds one cell assignment; 0 selects DefaultLeaseTTL.
+	// LeaseTTL bounds one cell attempt, from the assignment to the worker's
+	// answer; 0 selects DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is handed to workers at registration; 0 selects
 	// DefaultHeartbeatEvery. A worker silent for 5x this is declared dead.
 	HeartbeatEvery time.Duration
-	// Secret, when non-empty, gates every /cluster/v1/* route behind a
+	// Secret, when non-empty, gates every /cluster/v2/* route behind a
 	// shared bearer token and attaches it to outgoing assignments, so a
 	// coordinator reachable from untrusted networks cannot be fed bogus
 	// worker registrations (which would black-hole leased cells until TTL

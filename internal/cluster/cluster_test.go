@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -123,7 +124,7 @@ func TestClusterSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := postJSON(tc.coordSrv.Client(), "", tc.coordSrv.URL+"/cluster/v1/register", body)
+	resp, err := postJSON(context.Background(), tc.coordSrv.Client(), "", tc.coordSrv.URL+"/cluster/v2/register", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestClusterSecret(t *testing.T) {
 		t.Fatalf("rogue worker joined the membership (%d alive)", n)
 	}
 	// A wrong token is just as dead.
-	resp, err = postJSON(tc.coordSrv.Client(), "wrong-secret", tc.coordSrv.URL+"/cluster/v1/register", body)
+	resp, err = postJSON(context.Background(), tc.coordSrv.Client(), "wrong-secret", tc.coordSrv.URL+"/cluster/v2/register", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestClusterSecret(t *testing.T) {
 	}
 
 	// The worker's assign route demands the same token.
-	assign, err := json.Marshal(AssignRequest{Job: "x", Cell: 0, LeaseID: 1})
+	assign, err := json.Marshal(AssignRequest{Job: "x", Cell: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = postJSON(tc.servers[0].Client(), "", tc.servers[0].URL+"/cluster/v1/assign", assign)
+	resp, err = postJSON(context.Background(), tc.servers[0].Client(), "", tc.servers[0].URL+"/cluster/v2/assign", assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,42 +176,24 @@ var aaaaChunk = bytes.Repeat([]byte("a"), 32<<10)
 func (aaaa) Read(p []byte) (int, error) { return copy(p, aaaaChunk), nil }
 
 // TestClusterBodiesBounded: the coordinator reads at most durable.MaxPayload
-// bytes of a cluster request, like the public submit routes. An oversize
-// completion or heartbeat gets 413 with the JSON error envelope, a body that
-// ends early gets 400, and neither changes the lease table.
+// bytes of a cluster request, like the public submit routes, and of an
+// assignment's response. An oversize register or heartbeat gets 413 with the
+// JSON error envelope, a body that ends early gets 400, and neither changes
+// the membership; an oversize result fails its attempt, and the cell commits
+// from the next one.
 func TestClusterBodiesBounded(t *testing.T) {
-	cfg := testClusterConfig()
-	// Reading 64 MiB twice can starve the heartbeats for longer than the
-	// harness's quarter second, most of all under -race.
-	cfg.HeartbeatEvery = time.Second
-	tc := startTestCluster(t, cfg, func(_ *service.Store, p *service.Pool) {
-		p.SetPlanner(stubPlanner(1, 0))
-	})
-	w := tc.addWorker(1, stubExecutor(time.Minute))
-	job, err := tc.pool.Submit(service.Spec{Experiment: "suite", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		tc.store.Cancel(job.ID)
-		w.Kill() // the stub cell would otherwise hold the drain for a minute
-	})
-	waitFor(t, 5*time.Second, "cell in flight on worker", func() bool { return w.Inflight() == 1 })
-	leases := func() map[string]uint64 {
-		ls := tc.coord.Leases()
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
-		out := make(map[string]uint64, len(ls.active))
-		for key, l := range ls.active {
-			out[key] = l.ID
+	var answers atomic.Int64
+	tc, job := stubWorker(t, func(w http.ResponseWriter, _ *http.Request, req AssignRequest) {
+		if answers.Add(1) == 1 {
+			// One JSON string a few bytes past the bound, streamed so the
+			// test never holds it.
+			io.Copy(w, io.MultiReader(strings.NewReader(`{"err":"`), //nolint:errcheck // the coordinator hangs up
+				io.LimitReader(aaaa{}, durable.MaxPayload), strings.NewReader(`"}`)))
+			return
 		}
-		return out
-	}
-	before := leases()
-	if len(before) != 1 {
-		t.Fatalf("%d leases active, want 1", len(before))
-	}
-	for _, route := range []string{"/cluster/v1/complete", "/cluster/v1/heartbeat"} {
+		answerRow(t, w, req)
+	})
+	for _, route := range []string{"/cluster/v2/register", "/cluster/v2/heartbeat"} {
 		for _, c := range []struct {
 			name string
 			body io.Reader
@@ -218,12 +201,12 @@ func TestClusterBodiesBounded(t *testing.T) {
 		}{
 			// One JSON string a few bytes past the bound, streamed so the
 			// test never holds it; the coordinator buffers up to the bound.
-			{"oversize", io.MultiReader(strings.NewReader(`{"worker":"`),
+			{"oversize", io.MultiReader(strings.NewReader(`{"id":"`),
 				io.LimitReader(aaaa{}, durable.MaxPayload), strings.NewReader(`"}`)),
 				http.StatusRequestEntityTooLarge},
 			// What the server's body reader returns when the client hangs
 			// up before its Content-Length is in.
-			{"ends early", io.MultiReader(strings.NewReader(`{"worker":"`),
+			{"ends early", io.MultiReader(strings.NewReader(`{"id":"`),
 				iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest},
 		} {
 			rec := httptest.NewRecorder()
@@ -237,8 +220,15 @@ func TestClusterBodiesBounded(t *testing.T) {
 			}
 		}
 	}
-	if after := leases(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("lease table went from %v to %v", before, after)
+	final := tc.wait(job.ID, time.Minute)
+	if final.State != service.StateDone || final.Progress.DoneCells != 1 || final.Progress.FailedCells != 0 {
+		t.Fatalf("job finished %s with %+v: %s", final.State, final.Progress, final.Error)
+	}
+	if got := tc.metric("thermserved_cluster_leases_expired_total"); got != 1 {
+		t.Fatalf("leases_expired_total = %v after one oversize result, want 1", got)
+	}
+	if ws := tc.coord.Membership().Snapshot(); len(ws) != 1 || ws[0].ID != "stub" {
+		t.Fatalf("membership is %+v, want only the stub worker", ws)
 	}
 }
 
@@ -299,7 +289,9 @@ func TestClusterSuiteBitIdenticalWithKill(t *testing.T) {
 	if got := tc.metric("thermserved_cluster_leases_reassigned_total"); got < 1 {
 		t.Errorf("leases reassigned %v, want >= 1 after killing a loaded worker", got)
 	}
-	if got := tc.metric("thermserved_cluster_workers_alive"); got != 2 {
-		t.Errorf("workers_alive %v after kill, want 2", got)
-	}
+	// The killed worker's cells reassign as soon as its connections drop, so
+	// the job can finish before the sweep declares the worker dead.
+	waitFor(t, 5*time.Second, "killed worker swept", func() bool {
+		return tc.metric("thermserved_cluster_workers_alive") == 2
+	})
 }

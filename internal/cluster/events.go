@@ -15,17 +15,15 @@ const (
 	EventWorkerRegistered = "worker_registered"
 	// EventWorkerDead: a worker missed enough heartbeats and was swept.
 	EventWorkerDead = "worker_dead"
-	// EventLeaseGranted: one cell was leased to a worker.
+	// EventLeaseGranted: one cell attempt was handed to a worker.
 	EventLeaseGranted = "lease_granted"
-	// EventLeaseExpired: a lease timed out or was force-expired.
+	// EventLeaseExpired: an attempt failed before its result arrived (TTL,
+	// worker death or re-registration, connection error, refusal, bad body).
 	EventLeaseExpired = "lease_expired"
-	// EventLeaseReassigned: a cell was re-leased after a prior lease died.
+	// EventLeaseReassigned: a cell got a new attempt after a prior one failed.
 	EventLeaseReassigned = "lease_reassigned"
 	// EventCellCommitted: a worker's result was accepted and committed.
 	EventCellCommitted = "cell_committed"
-	// EventSpanFlush: a span-only completion from a drained cell was merged
-	// into the job's trace archive.
-	EventSpanFlush = "span_flush"
 )
 
 // ClusterEvent is one entry in the coordinator's cluster flight ring: a

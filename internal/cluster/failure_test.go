@@ -3,6 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,10 +48,10 @@ func TestHeartbeatExpiry(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryReassignsAndDedupes drives the full lease lifecycle: the
-// first assignment hangs past the lease TTL, the cell is reassigned to the
-// other worker, and when the slow worker's late result finally arrives it
-// is dropped idempotently instead of double-committing the cell.
+// TestLeaseExpiryReassignsAndDedupes drives the attempt lifecycle: the
+// first assignment hangs past the lease TTL, the coordinator drops the
+// request, the stalled execution sees its context end, and the cell is
+// reassigned to the other worker and commits exactly once.
 func TestLeaseExpiryReassignsAndDedupes(t *testing.T) {
 	cfg := testClusterConfig()
 	cfg.LeaseTTL = 300 * time.Millisecond
@@ -58,17 +61,16 @@ func TestLeaseExpiryReassignsAndDedupes(t *testing.T) {
 		p.SetPlanner(stubPlanner(cells, 0))
 	})
 
-	// The first execution in the cluster blocks until released; every
-	// later one is instant. Whichever worker owns the cell stalls first.
+	// The first execution in the cluster blocks until its context ends;
+	// every later one is instant. Whichever worker owns the cell stalls
+	// first.
 	var calls atomic.Int64
-	release := make(chan struct{})
+	cut := make(chan struct{})
 	slowOnce := func(ctx context.Context, spec service.Spec, cell int, _ json.RawMessage) (json.RawMessage, error) {
 		if calls.Add(1) == 1 {
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+			<-ctx.Done()
+			close(cut)
+			return nil, ctx.Err()
 		}
 		return json.Marshal(stubRow(cell))
 	}
@@ -79,6 +81,11 @@ func TestLeaseExpiryReassignsAndDedupes(t *testing.T) {
 	if final.State != service.StateDone {
 		t.Fatalf("job finished %s: %s", final.State, final.Error)
 	}
+	select {
+	case <-cut:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stalled execution's context never ended after its attempt expired")
+	}
 	if got := tc.metric("thermserved_cluster_leases_expired_total"); got < 1 {
 		t.Errorf("leases_expired_total %v, want >= 1", got)
 	}
@@ -86,25 +93,21 @@ func TestLeaseExpiryReassignsAndDedupes(t *testing.T) {
 		t.Errorf("leases_reassigned_total %v, want >= 1", got)
 	}
 
-	// Release the stalled first execution; its completion is now stale and
-	// must be dropped as a duplicate.
-	close(release)
-	deadline := time.Now().Add(10 * time.Second)
-	for tc.metric("thermserved_cluster_duplicate_results_total") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("late completion never counted as duplicate")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
 	// The committed row is the reassigned run's — exactly one commit.
 	rowsAny, _ := tc.store.Rows(final.ID)
 	rows := rowsAny.([]experiments.SuiteRow)
 	if len(rows) != cells || rows[0] != stubRow(0) {
-		t.Fatalf("rows after dedupe: %+v", rows)
+		t.Fatalf("rows after reassignment: %+v", rows)
 	}
 	if final.Progress.DoneCells != cells || final.Progress.FailedCells != 0 {
-		t.Fatalf("progress after dedupe: %+v", final.Progress)
+		t.Fatalf("progress after reassignment: %+v", final.Progress)
+	}
+	var completed int64
+	for _, ws := range tc.coord.Membership().Snapshot() {
+		completed += ws.Completed
+	}
+	if completed != cells {
+		t.Fatalf("workers credited with %d commits, want %d", completed, cells)
 	}
 }
 
@@ -158,100 +161,96 @@ func TestGracefulStopDrainsWithoutFailingCells(t *testing.T) {
 }
 
 // TestReregisterExpiresPreviousLeases checks that a worker restarting under
-// the same id does not leave its previous incarnation's leases pinned: the
-// coordinator expires them at re-registration so the cells reassign
-// immediately and the fresh inflight count stays honest.
+// the same id does not leave its previous incarnation's attempts pinned: the
+// coordinator cancels their requests at re-registration, so the cells
+// reassign at once and the fresh inflight count stays honest.
 func TestReregisterExpiresPreviousLeases(t *testing.T) {
-	tc := startTestCluster(t, testClusterConfig(), nil)
+	var answers atomic.Int64
+	cut := make(chan struct{})
+	tc, job := stubWorker(t, func(w http.ResponseWriter, r *http.Request, req AssignRequest) {
+		if answers.Add(1) == 1 {
+			// The previous incarnation never answers: only the coordinator
+			// dropping the request ends it.
+			<-r.Context().Done()
+			close(cut)
+			return
+		}
+		answerRow(t, w, req)
+	})
+	waitFor(t, 5*time.Second, "assignment in flight on the stub", func() bool { return answers.Load() == 1 })
 
-	register := func() {
-		body, err := json.Marshal(RegisterRequest{ID: "w-restart", URL: "http://127.0.0.1:1", Capacity: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := postJSON(tc.coordSrv.Client(), "", tc.coordSrv.URL+"/cluster/v1/register", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("register answered %d", resp.StatusCode)
-		}
-	}
-	register()
-	l := tc.coord.Leases().Grant("job-1", 0, "w-restart", time.Minute)
-
-	// The worker "restarts" and registers again with in-flight leases.
-	register()
+	// The worker "restarts" and registers again with its cell in flight.
+	tc.register(t, "stub", tc.coord.Membership().Snapshot()[0].URL)
 	select {
-	case <-l.Expired():
+	case <-cut:
 	case <-time.After(5 * time.Second):
-		t.Fatal("previous incarnation's lease still active after re-registration")
+		t.Fatal("previous incarnation's request still open after re-registration")
 	}
-	if n := tc.coord.Leases().Active(); n != 0 {
-		t.Fatalf("%d leases still active after re-registration, want 0", n)
+	final := tc.wait(job.ID, time.Minute)
+	if final.State != service.StateDone || final.Progress.DoneCells != 1 || final.Progress.FailedCells != 0 {
+		t.Fatalf("job finished %s with %+v: %s", final.State, final.Progress, final.Error)
+	}
+	if got := tc.metric("thermserved_cluster_leases_expired_total"); got != 1 {
+		t.Fatalf("leases_expired_total = %v, want 1 for the cancelled attempt", got)
 	}
 }
 
-// TestLeaseTableIdempotency exercises the lease table directly: only the
-// active (job, cell, lease id, worker) tuple may complete, everything else
-// is a duplicate.
-func TestLeaseTableIdempotency(t *testing.T) {
-	ls := NewLeases()
-	l1 := ls.Grant("job-1", 0, "wA", time.Minute)
-	if ls.Active() != 1 {
-		t.Fatalf("active %d, want 1", ls.Active())
+// TestWorkerConnectionLossReassigns: a worker whose server closes the
+// connection mid-cell has the cell reassigned at once, long before its
+// heartbeats could expire.
+func TestWorkerConnectionLossReassigns(t *testing.T) {
+	cfg := testClusterConfig()
+	cfg.HeartbeatEvery = time.Minute // heartbeat expiry cannot be what reassigns the cell
+	tc := startTestCluster(t, cfg, func(_ *service.Store, p *service.Pool) {
+		p.SetPlanner(stubPlanner(1, 0))
+	})
+	// Equal workers: the first registered wins the tie for the cell.
+	stalled := tc.addWorker(1, stubExecutor(time.Minute))
+	tc.addWorker(1, stubExecutor(0))
+	job, err := tc.pool.Submit(service.Spec{Experiment: "suite", Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ls.Complete("job-1", 0, l1.ID+1, "wA", Result{}, nil) {
-		t.Error("wrong lease id accepted")
-	}
-	if ls.Complete("job-1", 0, l1.ID, "wB", Result{}, nil) {
-		t.Error("wrong worker accepted")
-	}
-	if !ls.Complete("job-1", 0, l1.ID, "wA", Result{Err: "x"}, nil) {
-		t.Error("valid completion refused")
-	}
-	if ls.Complete("job-1", 0, l1.ID, "wA", Result{}, nil) {
-		t.Error("double completion accepted")
-	}
-	select {
-	case res := <-l1.Done():
-		if res.Err != "x" {
-			t.Errorf("result %+v", res)
-		}
-	default:
-		t.Error("completed lease delivered nothing")
-	}
+	waitFor(t, 5*time.Second, "cell in flight on the first worker", func() bool { return stalled.Inflight() == 1 })
+	tc.servers[0].CloseClientConnections()
 
-	// Granting over a live lease supersedes it; the old lease expires.
-	l2 := ls.Grant("job-1", 1, "wA", time.Minute)
-	l3 := ls.Grant("job-1", 1, "wB", time.Minute)
-	select {
-	case <-l2.Expired():
-	case <-time.After(time.Second):
-		t.Error("superseded lease did not expire")
+	final := tc.wait(job.ID, 10*time.Second)
+	if final.State != service.StateDone || final.Progress.DoneCells != 1 || final.Progress.FailedCells != 0 {
+		t.Fatalf("job finished %s with %+v: %s", final.State, final.Progress, final.Error)
 	}
-	if ls.Complete("job-1", 1, l2.ID, "wA", Result{}, nil) {
-		t.Error("superseded lease accepted a completion")
+	if got := tc.workers[1].Executed(); got != 1 {
+		t.Fatalf("second worker executed %d cells, want the reassigned 1", got)
 	}
-	if !ls.Complete("job-1", 1, l3.ID, "wB", Result{}, nil) {
-		t.Error("successor lease refused its completion")
+	if got := tc.metric("thermserved_cluster_leases_reassigned_total"); got != 1 {
+		t.Fatalf("leases_reassigned_total = %v, want 1", got)
 	}
+	if got := tc.metric("thermserved_cluster_workers_dead_total"); got != 0 {
+		t.Fatalf("workers_dead_total = %v: the cell waited for heartbeat expiry", got)
+	}
+}
 
-	// ExpireWorker fires every lease a dead worker holds.
-	la := ls.Grant("job-2", 0, "wC", time.Minute)
-	lb := ls.Grant("job-2", 1, "wC", time.Minute)
-	if n := ls.ExpireWorker("wC"); n != 2 {
-		t.Fatalf("expired %d leases, want 2", n)
+// TestWorkerStartNeedsV2Routes: a worker whose coordinator serves no
+// /cluster/v2/ routes (an older build, which registers workers under
+// /cluster/v1/) fails Start with the 404 instead of waiting for a
+// coordinator that will never hand it a cell.
+func TestWorkerStartNeedsV2Routes(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /cluster/v1/register", func(w http.ResponseWriter, _ *http.Request) {
+		httpJSON(w, http.StatusOK, RegisterResponse{HeartbeatEveryMs: 2000})
+	})
+	old := httptest.NewServer(mux)
+	defer old.Close()
+	w, err := NewWorker(WorkerConfig{ID: "w0", CoordinatorURL: old.URL, AdvertiseURL: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range []*Lease{la, lb} {
-		select {
-		case <-l.Expired():
-		default:
-			t.Error("dead worker's lease not expired")
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = w.Start(ctx)
+	if err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("Start against a coordinator without /cluster/v2/ returned %v, want an error naming 404", err)
 	}
-	if ls.Active() != 0 {
-		t.Fatalf("active %d after expiry, want 0", ls.Active())
+	if ctx.Err() != nil {
+		t.Fatal("Start waited out its context instead of failing on the 404")
 	}
 }

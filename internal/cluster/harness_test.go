@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -32,10 +31,8 @@ type testCluster struct {
 	coord    *Coordinator
 	coordSrv *httptest.Server
 	secret   string
-	// workerClient, when set, is the client addWorker hands its workers.
-	workerClient *http.Client
-	workers      []*Worker
-	servers      []*httptest.Server
+	workers  []*Worker
+	servers  []*httptest.Server
 }
 
 // startTestCluster builds the coordinator side. mutate (optional) adjusts
@@ -82,7 +79,6 @@ func (tc *testCluster) addWorker(capacity int, exec Executor) *Worker {
 		AdvertiseURL:   "http://" + l.Addr().String(),
 		Capacity:       capacity,
 		Secret:         tc.secret,
-		Client:         tc.workerClient,
 	})
 	if err != nil {
 		tc.t.Fatal(err)

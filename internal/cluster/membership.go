@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,7 +18,7 @@ type member struct {
 	id       string
 	url      string
 	capacity int
-	// inflight counts cells currently leased to this worker; bounded by
+	// inflight counts attempts in flight on this worker; bounded by
 	// capacity through Acquire.
 	inflight int
 	// assigned is the lifetime lease count: Acquire's tie-break and the
@@ -30,7 +33,19 @@ type member struct {
 	// metrics is the worker's last heartbeat registry snapshot; it dies with
 	// the member, so federation never exposes a dead node's series.
 	metrics []telemetry.SampleFamily
+	// alive ends when the member is swept dead or replaced by a
+	// re-registration, cancelling every attempt in flight on it.
+	alive  context.Context
+	cancel context.CancelFunc
 }
+
+// errUnknownWorker answers a heartbeat from an id the coordinator does not
+// know; the worker should re-register.
+var errUnknownWorker = errors.New("cluster: unknown worker")
+
+// workerMetricPrefix is the one prefix a worker registers its metrics under,
+// so a federated family never collides with one of the coordinator's own.
+const workerMetricPrefix = "thermworker_"
 
 // Membership tracks registered workers, their heartbeats and their inflight
 // budgets, and places each cell on one of them. All methods are safe for
@@ -62,13 +77,12 @@ func (m *Membership) broadcastLocked() {
 // Register adds (or replaces) a worker. Capacity <= 0 is normalized to 1.
 // Re-registration resets the heartbeat clock and the inflight count but
 // keeps the lifetime assigned count when the id was already known, so
-// imbalance accounting survives a worker restart. Replaced reports that an
-// entry for id already existed — the caller must then expire the previous
-// incarnation's leases, or the reset inflight count would let the
-// coordinator oversubscribe the node until those leases drain.
-func (m *Membership) Register(id, url string, capacity int) (replaced bool, err error) {
+// imbalance accounting survives a worker restart. It cancels the previous
+// incarnation's attempts: that process is gone, and the reset inflight count
+// would otherwise let the coordinator oversubscribe the new one.
+func (m *Membership) Register(id, url string, capacity int) error {
 	if id == "" || url == "" {
-		return false, fmt.Errorf("cluster: register needs id and url (got id=%q url=%q)", id, url)
+		return fmt.Errorf("cluster: register needs id and url (got id=%q url=%q)", id, url)
 	}
 	if capacity <= 0 {
 		capacity = 1
@@ -76,33 +90,77 @@ func (m *Membership) Register(id, url string, capacity int) (replaced bool, err 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w := &member{id: id, url: url, capacity: capacity, lastBeat: m.now()}
-	old, ok := m.workers[id]
-	if ok {
+	w.alive, w.cancel = context.WithCancel(context.Background())
+	if old, ok := m.workers[id]; ok {
 		w.assigned = old.assigned
 		w.completed = old.completed
+		old.cancel()
 	}
 	m.workers[id] = w
 	m.broadcastLocked()
-	return ok, nil
+	return nil
 }
 
 // Heartbeat refreshes a worker's liveness and absorbs the beat's telemetry
-// payload (clock-offset estimate, registry snapshot), reporting false for ids
-// the coordinator does not know (the worker should re-register).
-func (m *Membership) Heartbeat(id string, inflight int, clockOffsetUS int64, metrics []telemetry.SampleFamily) bool {
+// payload (clock-offset estimate, registry snapshot). It returns
+// errUnknownWorker for an id the coordinator does not know (the worker should
+// re-register), and refuses metrics that checkMetricsLocked rejects without
+// changing anything.
+func (m *Membership) Heartbeat(id string, clockOffsetUS int64, metrics []telemetry.SampleFamily) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w, ok := m.workers[id]
 	if !ok {
-		return false
+		return errUnknownWorker
+	}
+	if metrics != nil {
+		if err := m.checkMetricsLocked(w, metrics); err != nil {
+			return err
+		}
+		w.metrics = metrics
 	}
 	w.lastBeat = m.now()
 	w.clockOffsetUS = clockOffsetUS
-	if metrics != nil {
-		w.metrics = metrics
+	return nil
+}
+
+// checkMetricsLocked reports why metrics may not become w's federated
+// snapshot: a family without the thermworker_ prefix or of another kind than
+// a live worker federates it under, a label set that does not parse, or a
+// fleet exposition that fails the Prometheus lint with metrics in place.
+// Kinds that agree across workers keep the exposition conformant when a
+// member later leaves. Callers hold m.mu.
+func (m *Membership) checkMetricsLocked(w *member, metrics []telemetry.SampleFamily) error {
+	kinds := make(map[string]string)
+	for _, other := range m.workers {
+		if other != w {
+			for _, fam := range other.metrics {
+				kinds[fam.Name] = fam.Kind
+			}
+		}
 	}
-	_ = inflight // reported for the status listing only; Acquire is authoritative
-	return true
+	for _, fam := range metrics {
+		if !strings.HasPrefix(fam.Name, workerMetricPrefix) {
+			return fmt.Errorf("cluster: metric family %q lacks the %s prefix", fam.Name, workerMetricPrefix)
+		}
+		if kind, ok := kinds[fam.Name]; ok && kind != fam.Kind {
+			return fmt.Errorf("cluster: metric family %s is a %q, other workers send a %q", fam.Name, fam.Kind, kind)
+		}
+		for _, s := range fam.Series {
+			if _, err := telemetry.ParseLabels(s.Labels); err != nil {
+				return fmt.Errorf("cluster: metric family %s: %w", fam.Name, err)
+			}
+		}
+	}
+	old := w.metrics
+	w.metrics = metrics
+	var page bytes.Buffer
+	err := telemetry.WriteSampleFamilies(&page, m.federatedLocked())
+	w.metrics = old
+	if err != nil {
+		return err
+	}
+	return telemetry.ValidatePrometheus(&page)
 }
 
 // Committed credits one delivered result to a worker (a no-op for dead ids).
@@ -132,6 +190,11 @@ func (m *Membership) ClockOffsetUS(id string) int64 {
 func (m *Membership) Federated() []telemetry.SampleFamily {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.federatedLocked()
+}
+
+// federatedLocked is Federated for callers holding m.mu.
+func (m *Membership) federatedLocked() []telemetry.SampleFamily {
 	byName := make(map[string]*telemetry.SampleFamily)
 	var order []string
 	ids := make([]string, 0, len(m.workers))
@@ -189,8 +252,8 @@ func (m *Membership) LearningHealth() (runs, converged int64) {
 	return runs, converged
 }
 
-// Sweep removes every worker whose last heartbeat is older than expireAfter
-// and returns their ids, so the caller can force-expire their leases.
+// Sweep removes every worker whose last heartbeat is older than expireAfter,
+// cancelling its attempts in flight, and returns their ids.
 func (m *Membership) Sweep(expireAfter time.Duration) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -199,6 +262,7 @@ func (m *Membership) Sweep(expireAfter time.Duration) []string {
 	for id, w := range m.workers {
 		if w.lastBeat.Before(cutoff) {
 			dead = append(dead, id)
+			w.cancel()
 			delete(m.workers, id)
 		}
 	}
@@ -209,26 +273,14 @@ func (m *Membership) Sweep(expireAfter time.Duration) []string {
 	return dead
 }
 
-// Remove drops a worker immediately (operator action or a failed assign to
-// a worker that proved unreachable). Reports whether it was present.
-func (m *Membership) Remove(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.workers[id]; !ok {
-		return false
-	}
-	delete(m.workers, id)
-	m.broadcastLocked()
-	return true
-}
-
 // Acquire blocks until a live worker has a free inflight slot and claims one,
-// returning the worker's id and URL. It takes the worker with the lowest
+// returning the worker's id, its URL and a context that ends when that
+// worker is swept dead or re-registers. It takes the worker with the lowest
 // inflight/capacity ratio; ties go to the fewest lifetime assignments, then
 // to the lowest id. avoid names a worker to pass over (a reassignment passes
-// the one whose lease expired); it is taken only when no other worker has a
+// the one whose attempt failed); it is taken only when no other worker has a
 // free slot. Release must be called exactly once per successful Acquire.
-func (m *Membership) Acquire(ctx context.Context, avoid string) (id, url string, err error) {
+func (m *Membership) Acquire(ctx context.Context, avoid string) (id, url string, alive context.Context, err error) {
 	for {
 		m.mu.Lock()
 		var best *member
@@ -241,14 +293,14 @@ func (m *Membership) Acquire(ctx context.Context, avoid string) (id, url string,
 			best.inflight++
 			best.assigned++
 			m.mu.Unlock()
-			return best.id, best.url, nil
+			return best.id, best.url, best.alive, nil
 		}
 		ch := m.changed
 		m.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return "", "", ctx.Err()
+			return "", "", nil, ctx.Err()
 		}
 	}
 }

@@ -17,7 +17,7 @@ type acquired struct {
 func acquireAsync(ctx context.Context, m *Membership, avoid string) <-chan acquired {
 	ch := make(chan acquired, 1)
 	go func() {
-		id, _, err := m.Acquire(ctx, avoid)
+		id, _, _, err := m.Acquire(ctx, avoid)
 		ch <- acquired{id, err}
 	}()
 	return ch
@@ -47,14 +47,14 @@ func mustReturn(t *testing.T, ch <-chan acquired, why string) acquired {
 
 func register(t *testing.T, m *Membership, id string, capacity int) {
 	t.Helper()
-	if _, err := m.Register(id, "http://"+id, capacity); err != nil {
+	if err := m.Register(id, "http://"+id, capacity); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func mustAcquire(t *testing.T, m *Membership, avoid string) string {
 	t.Helper()
-	id, _, err := m.Acquire(context.Background(), avoid)
+	id, _, _, err := m.Acquire(context.Background(), avoid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -305,57 +306,9 @@ func TestClusterLiveSSE(t *testing.T) {
 	}
 }
 
-// TestWorkerDrainFlushesSpans covers the satellite fix: an execution cut out
-// from under a cell (context cancelled without Kill) must flush its partial
-// span batch to the coordinator instead of silently dropping it.
-func TestWorkerDrainFlushesSpans(t *testing.T) {
-	tc := startTestCluster(t, testClusterConfig(), func(_ *service.Store, p *service.Pool) {
-		p.SetPlanner(stubPlanner(1, 0))
-	})
-	w := tc.addWorker(1, tracedExecutor(time.Minute))
-
-	job, err := tc.pool.Submit(service.Spec{Experiment: "suite", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "cell in flight on worker", func() bool { return w.Inflight() == 1 })
-
-	// Cut the execution context directly — the "Stop raced past the drain"
-	// path — without setting the killed flag.
-	w.cancel()
-	waitFor(t, 5*time.Second, "span batch flush", func() bool { return w.batchesFlushed.Load() == 1 })
-	waitFor(t, 5*time.Second, "flush merged into job trace", func() bool {
-		tracer, ok := tc.store.Tracer(job.ID)
-		if !ok {
-			return false
-		}
-		for _, sp := range tracer.Snapshot() {
-			if flushed, _, ok := sp.Attr("flushed"); ok && flushed == "true" {
-				return true
-			}
-		}
-		return false
-	})
-	if got := tc.metric("thermserved_cluster_span_flushes_total"); got != 1 {
-		t.Fatalf("span_flushes_total = %v, want 1", got)
-	}
-	// The flushed batch must contain the worker-side run span (partial work).
-	tracer, _ := tc.store.Tracer(job.ID)
-	var sawRun bool
-	for _, sp := range tracer.Snapshot() {
-		if sp.Kind == telemetry.KindRun {
-			sawRun = true
-		}
-	}
-	if !sawRun {
-		t.Fatal("flushed batch is missing the worker's run span")
-	}
-	// Unblock shutdown: cancel the stuck job so the dispatcher stops waiting.
-	tc.store.Cancel(job.ID)
-}
-
-// TestWorkerKillDiscardsSpans: a killed worker counts its dropped batch
-// instead of posting anything.
+// TestWorkerKillDiscardsSpans: a killed worker aborts its response, so
+// neither the cell's result nor its span batch reaches the coordinator; the
+// attempt fails and the trace imports nothing from it.
 func TestWorkerKillDiscardsSpans(t *testing.T) {
 	tc := startTestCluster(t, testClusterConfig(), func(_ *service.Store, p *service.Pool) {
 		p.SetPlanner(stubPlanner(1, 0))
@@ -367,9 +320,11 @@ func TestWorkerKillDiscardsSpans(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "cell in flight on worker", func() bool { return w.Inflight() == 1 })
 	w.Kill()
-	waitFor(t, 5*time.Second, "span batch discard", func() bool { return w.batchesDiscarded.Load() == 1 })
-	if w.batchesFlushed.Load() != 0 {
-		t.Fatal("killed worker flushed a batch")
+	waitFor(t, 5*time.Second, "failed attempt", func() bool {
+		return tc.metric("thermserved_cluster_leases_expired_total") >= 1
+	})
+	if got := tc.metric("thermserved_cluster_spans_imported_total"); got != 0 {
+		t.Fatalf("spans_imported_total = %v after the worker was killed mid-cell, want 0", got)
 	}
 	tc.store.Cancel(job.ID)
 }
@@ -537,90 +492,77 @@ func TestClusterWindowAttrsCrossTheWire(t *testing.T) {
 	}
 }
 
-// stubAssignment starts a cluster whose one worker is a bare HTTP server,
-// submits a one-cell job and returns it with the cell's assignment: the test
-// posts the cell's completions itself, through postCluster.
-func stubAssignment(t *testing.T) (*testCluster, service.Job, AssignRequest) {
+// stubWorker starts a cluster whose one worker is a bare HTTP server
+// answering each assignment through answer, registers it and submits a
+// one-cell job.
+func stubWorker(t *testing.T, answer func(w http.ResponseWriter, r *http.Request, req AssignRequest)) (*testCluster, service.Job) {
 	t.Helper()
 	cfg := testClusterConfig()
-	cfg.HeartbeatEvery = time.Second // the stub worker never heartbeats
+	cfg.HeartbeatEvery = time.Minute // the stub worker never heartbeats
 	tc := startTestCluster(t, cfg, func(_ *service.Store, p *service.Pool) {
 		p.SetPlanner(stubPlanner(1, 0))
 	})
-	assigned := make(chan AssignRequest, 1)
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req AssignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("stub worker: %v", err)
 		}
-		assigned <- req
-		w.WriteHeader(http.StatusAccepted)
+		if !req.Trace {
+			t.Error("assignment asks for no trace; the job should be traced")
+		}
+		answer(w, r, req)
 	}))
-	t.Cleanup(stub.Close)
-	reg, err := json.Marshal(RegisterRequest{ID: "stub", URL: stub.URL, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.postCluster(t, "/cluster/v1/register", reg).Body.Close()
+	t.Cleanup(func() {
+		stub.CloseClientConnections()
+		stub.Close()
+	})
+	tc.register(t, "stub", stub.URL)
 	job, err := tc.pool.Submit(service.Spec{Experiment: "suite", Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case req := <-assigned:
-		if req.Trace == nil {
-			t.Fatal("assignment asks for no trace; the job should be traced")
-		}
-		return tc, job, req
-	case <-time.After(10 * time.Second):
-		t.Fatal("no assignment reached the stub worker")
-	}
-	panic("unreachable")
+	return tc, job
 }
 
-// postCluster posts body to one of the coordinator's cluster routes.
-func (tc *testCluster) postCluster(t *testing.T, route string, body []byte) *http.Response {
+// register registers a worker that is not a Worker (a stub server) with one
+// slot.
+func (tc *testCluster) register(t *testing.T, id, url string) {
 	t.Helper()
-	resp, err := postJSON(tc.coordSrv.Client(), "", tc.coordSrv.URL+route, body)
+	body, err := json.Marshal(RegisterRequest{ID: id, URL: url, Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	resp, err := postJSON(context.Background(), tc.coordSrv.Client(), "", tc.coordSrv.URL+"/cluster/v2/register", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register answered %d", resp.StatusCode)
+	}
 }
 
-// TestMalformedSpanBatchCommitsRow: a completion whose span batch does not
-// decode still commits its row, since the worker counts any answer as
-// delivered and a refusal would strand the cell until its lease expired,
-// and it imports no spans. A flush carrying a bad batch is answered 200 and
-// imports none either.
-func TestMalformedSpanBatchCommitsRow(t *testing.T) {
-	tc, job, req := stubAssignment(t)
-	bad := append([]byte{spanBatchVersion + 1}, encodeSpanBatch(recordedBatch(t))[1:]...)
-	comp := CompleteRequest{Worker: "stub", Job: req.Job, Cell: req.Cell, LeaseID: req.LeaseID, SpanBatch: bad}
-	flush := comp
-	flush.Flush = true
-	for _, c := range []CompleteRequest{flush, comp} {
-		if c.Flush {
-			c.Row = nil
-		} else {
-			row, err := json.Marshal(stubRow(req.Cell))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Row = row
-		}
-		body, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := tc.postCluster(t, "/cluster/v1/complete", body)
-		var cr CompleteResponse
-		err = json.NewDecoder(resp.Body).Decode(&cr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil || cr.Duplicate {
-			t.Fatalf("completion (flush %v) answered %d, duplicate %v, %v", c.Flush, resp.StatusCode, cr.Duplicate, err)
-		}
+// answerRow answers an assignment with its cell's stub row.
+func answerRow(t *testing.T, w http.ResponseWriter, req AssignRequest) {
+	row, err := json.Marshal(stubRow(req.Cell))
+	if err != nil {
+		t.Error(err)
 	}
+	httpJSON(w, http.StatusOK, AssignResponse{Row: row})
+}
+
+// TestMalformedSpanBatchCommitsRow: a result whose span batch does not
+// decode still commits its row, since reassigning the cell would only run it
+// again, and it imports no spans.
+func TestMalformedSpanBatchCommitsRow(t *testing.T) {
+	bad := append([]byte{spanBatchVersion + 1}, encodeSpanBatch(recordedBatch(t))[1:]...)
+	tc, job := stubWorker(t, func(w http.ResponseWriter, _ *http.Request, req AssignRequest) {
+		row, err := json.Marshal(stubRow(req.Cell))
+		if err != nil {
+			t.Error(err)
+		}
+		httpJSON(w, http.StatusOK, AssignResponse{Row: row, SpanBatch: bad})
+	})
 	final := tc.wait(job.ID, time.Minute)
 	if final.State != service.StateDone || final.Progress.DoneCells != 1 {
 		t.Fatalf("job finished %s with %d cells: %s", final.State, final.Progress.DoneCells, final.Error)
@@ -630,35 +572,37 @@ func TestMalformedSpanBatchCommitsRow(t *testing.T) {
 		t.Fatalf("committed rows %+v, want [%+v]", got, stubRow(0))
 	}
 	if got := tc.metric("thermserved_cluster_spans_imported_total"); got != 0 {
-		t.Fatalf("spans_imported_total = %v after two undecodable batches, want 0", got)
+		t.Fatalf("spans_imported_total = %v after an undecodable batch, want 0", got)
 	}
-	if got := tc.metric("thermserved_cluster_span_flushes_total"); got != 0 {
-		t.Fatalf("span_flushes_total = %v, want 0", got)
+	if got := tc.metric("thermserved_cluster_leases_expired_total"); got != 0 {
+		t.Fatalf("leases_expired_total = %v, want 0: the attempt succeeded", got)
 	}
 }
 
-// TestCommitPhaseCoversDecode: a cell's commit phase opens when its
-// completion reaches the coordinator, so it covers the decode of the
-// request. The completion here carries 8 MiB of whitespace between its
-// fields, which takes milliseconds to decode; the row inside takes
-// microseconds, and is all a phase opened after the decode would time.
+// TestCommitPhaseCoversDecode: a cell's commit phase opens when the
+// response headers reach the coordinator, so it covers reading and decoding
+// the body. The result here carries 8 MiB of whitespace between its fields,
+// which takes milliseconds to decode; the row inside takes microseconds, and
+// is all a phase opened after the decode would time.
 func TestCommitPhaseCoversDecode(t *testing.T) {
-	tc, job, req := stubAssignment(t)
-	row, err := json.Marshal(stubRow(req.Cell))
+	row, err := json.Marshal(stubRow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := json.Marshal(CompleteRequest{Worker: "stub", Job: req.Job, Cell: req.Cell, LeaseID: req.LeaseID, Row: row})
+	res, err := json.Marshal(AssignResponse{Row: row})
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded := append(append([]byte("{"), bytes.Repeat([]byte(" "), 8<<20)...), comp[1:]...)
+	padded := append(append([]byte("{"), bytes.Repeat([]byte(" "), 8<<20)...), res[1:]...)
 	decodeStart := time.Now()
-	if err := json.Unmarshal(padded, &CompleteRequest{}); err != nil {
+	if err := json.Unmarshal(padded, &AssignResponse{}); err != nil {
 		t.Fatal(err)
 	}
 	decode := time.Since(decodeStart)
-	tc.postCluster(t, "/cluster/v1/complete", padded).Body.Close()
+	tc, job := stubWorker(t, func(w http.ResponseWriter, _ *http.Request, _ AssignRequest) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(padded) //nolint:errcheck // the job check below fails if it did not arrive
+	})
 	if final := tc.wait(job.ID, time.Minute); final.State != service.StateDone {
 		t.Fatalf("job finished %s: %s", final.State, final.Error)
 	}
@@ -666,10 +610,127 @@ func TestCommitPhaseCoversDecode(t *testing.T) {
 	for _, sp := range tracer.Snapshot() {
 		if sp.Kind == telemetry.KindPhase && sp.Name == "commit" {
 			if got := time.Duration(sp.DurUS) * time.Microsecond; got < decode/2 {
-				t.Fatalf("commit phase lasted %v; decoding the completion alone takes %v", got, decode)
+				t.Fatalf("commit phase lasted %v; decoding the result alone takes %v", got, decode)
 			}
 			return
 		}
 	}
 	t.Fatal("job trace has no commit phase span")
+}
+
+// heartbeatProbe is one heartbeat metrics payload and whether the
+// coordinator accepts it.
+type heartbeatProbe struct {
+	name    string
+	metrics []telemetry.SampleFamily
+	ok      bool
+}
+
+// heartbeatProbes are a real worker's snapshot, which the coordinator
+// accepts, and payloads it must refuse, each one a way a beat could corrupt
+// or fail the federated /metrics page.
+func heartbeatProbes() []heartbeatProbe {
+	gauge := func(name, labels string) []telemetry.SampleFamily {
+		return []telemetry.SampleFamily{{Name: name, Kind: "gauge", Series: []telemetry.SampleSeries{{Labels: labels, Value: 1}}}}
+	}
+	return []heartbeatProbe{
+		{"worker snapshot", offlineWorker(0).reg.Sample(), true},
+		{"line injected through labels", gauge("thermworker_inflight", "{a=\"1\"}\nfake_metric 1\n#"), false},
+		{"metric name with a space", gauge("thermworker_bad name", ""), false},
+		{"summary kind", []telemetry.SampleFamily{{Name: "thermworker_latency", Kind: "summary",
+			Series: []telemetry.SampleSeries{{Value: 1}}}}, false},
+		{"buckets 5 then 1", []telemetry.SampleFamily{{Name: "thermworker_exec_seconds", Kind: "histogram",
+			Series: []telemetry.SampleSeries{{Bounds: []float64{0.1, 1}, Cumulative: []int64{5, 1}, Count: 5, Sum: 1}}}}, false},
+		{"comma in a label value", gauge("thermworker_inflight", `{a="x,y"}`), false},
+		{"coordinator's prefix", gauge("thermserved_cluster_workers_alive", ""), false},
+	}
+}
+
+// beatFleet resets c's membership to w0, heartbeating snapshot, and w1,
+// registered without metrics.
+func beatFleet(tb testing.TB, c *Coordinator, snapshot []telemetry.SampleFamily) {
+	c.members = NewMembership()
+	for _, id := range []string{"w0", "w1"} {
+		if err := c.members.Register(id, "http://"+id, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := c.members.Heartbeat("w0", 0, snapshot); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// beat posts w1's heartbeat body to c and returns the status and the
+// federated exposition afterwards.
+func beat(tb testing.TB, c *Coordinator, body []byte) (int, string) {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/v2/heartbeat", bytes.NewReader(body)))
+	var page strings.Builder
+	if err := c.WriteFederatedMetrics(&page); err != nil {
+		tb.Fatal(err)
+	}
+	return rec.Code, page.String()
+}
+
+// TestHeartbeatRefusesBadMetrics: the coordinator federates a real worker's
+// snapshot and answers each bad payload 400, leaving the federated page as
+// it was.
+func TestHeartbeatRefusesBadMetrics(t *testing.T) {
+	c := NewCoordinator(service.NewPool(service.NewStore(0), 1), testClusterConfig())
+	snapshot := offlineWorker(0).reg.Sample()
+	for _, p := range heartbeatProbes() {
+		beatFleet(t, c, snapshot)
+		_, before := beat(t, c, nil)
+		body, err := json.Marshal(HeartbeatRequest{ID: "w1", Metrics: p.metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, after := beat(t, c, body)
+		switch {
+		case p.ok && code != http.StatusOK:
+			t.Errorf("%s: answered %d, want 200", p.name, code)
+		case p.ok && !strings.Contains(after, `thermworker_capacity{worker="w1"} `):
+			t.Errorf("%s: federated page lacks w1's series:\n%s", p.name, after)
+		case !p.ok && code != http.StatusBadRequest:
+			t.Errorf("%s: answered %d, want 400", p.name, code)
+		case !p.ok && after != before:
+			t.Errorf("%s: refused beat changed the federated page:\n%s", p.name, after)
+		}
+		if err := telemetry.ValidatePrometheus(strings.NewReader(after)); err != nil {
+			t.Errorf("%s: federated page fails the lint: %v", p.name, err)
+		}
+	}
+}
+
+// FuzzHeartbeatMetrics fuzzes the metrics a heartbeat carries: whenever the
+// coordinator accepts a beat, its federated exposition passes
+// telemetry.ValidatePrometheus, and a beat it refuses changes nothing.
+func FuzzHeartbeatMetrics(f *testing.F) {
+	for _, p := range heartbeatProbes() {
+		metrics, err := json.Marshal(p.metrics)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(metrics)
+	}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.DiscardHandler))
+	f.Cleanup(func() { slog.SetDefault(prev) })
+	c := NewCoordinator(service.NewPool(service.NewStore(0), 1), testClusterConfig())
+	snapshot := offlineWorker(0).reg.Sample()
+	f.Fuzz(func(t *testing.T, metrics []byte) {
+		beatFleet(t, c, snapshot)
+		_, before := beat(t, c, nil)
+		body := append(append([]byte(`{"id":"w1","metrics":`), metrics...), '}')
+		code, after := beat(t, c, body)
+		if code != http.StatusOK {
+			if after != before {
+				t.Fatalf("heartbeat answered %d but changed the federated page:\n%s", code, after)
+			}
+			return
+		}
+		if err := telemetry.ValidatePrometheus(strings.NewReader(after)); err != nil {
+			t.Fatalf("accepted heartbeat federates a page that fails the lint: %v\n%s", err, after)
+		}
+	})
 }

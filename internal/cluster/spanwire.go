@@ -9,8 +9,8 @@ import (
 )
 
 // The span batch: a worker's trace of one cell, encoded once in Worker.run
-// and decoded once in handleComplete. A run of the example tournament ships
-// ~93 spans with ~1,170 attributes, most of them numeric and most keys
+// and decoded once in Coordinator.RunCell. A run of the example tournament
+// ships ~93 spans with ~1,170 attributes, most of them numeric and most keys
 // repeated in every window span, so the batch sends each distinct string
 // (kinds, names, attribute keys and string values) once, integers as varints
 // and floats as their raw bits:

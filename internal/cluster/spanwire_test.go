@@ -41,9 +41,9 @@ func offlineWorker(clockOffsetUS int64) *Worker {
 }
 
 // tracedCell runs cell idx of spec the way Worker.run runs a traced
-// assignment and returns the span batch the completion would carry.
+// assignment and returns the span batch its result would carry.
 func tracedCell(w *Worker, spec service.Spec, idx int) ([]telemetry.Span, error) {
-	tr, exec := w.execTracer(AssignRequest{Job: "job-000001", Cell: idx, LeaseID: uint64(idx + 1), Spec: spec})
+	tr, exec := w.execTracer(AssignRequest{Job: "job-000001", Cell: idx, Spec: spec})
 	_, err := ExecuteCell(telemetry.ContextWithSpan(context.Background(), tr, exec), spec, idx, nil)
 	tr.End(exec, telemetry.Bool("error", err != nil))
 	if err != nil {
@@ -293,12 +293,12 @@ func TestDecodeSpanBatchRejects(t *testing.T) {
 		})
 	}
 	// A proper prefix of a batch is a truncated batch: every prefix of a
-	// flush batch, and every 61st of a real run's (each decode reads up to
+	// cut batch, and every 61st of a real run's (each decode reads up to
 	// the cut, so all 13k would cost seconds under -race).
 	for _, tc := range []struct {
 		batch  []byte
 		stride int
-	}{{encodeSpanBatch(flushBatch()), 1}, {encodeSpanBatch(recordedBatch(t)), 61}} {
+	}{{encodeSpanBatch(cutBatch()), 1}, {encodeSpanBatch(recordedBatch(t)), 61}} {
 		for n := 0; n < len(tc.batch); n += tc.stride {
 			var be *spanBatchError
 			if _, err := decodeSpanBatch(tc.batch[:n]); !errors.As(err, &be) {
@@ -308,11 +308,11 @@ func TestDecodeSpanBatchRejects(t *testing.T) {
 	}
 }
 
-// flushBatch is what a drained cell flushes: the exec root and a run span
-// both cut short, with one span still open at the snapshot.
-func flushBatch() []telemetry.Span {
+// cutBatch is the batch of a cell cut short: the exec root and a run span
+// both ended with an error, with one span still open at the snapshot.
+func cutBatch() []telemetry.Span {
 	w := offlineWorker(0)
-	tr, exec := w.execTracer(AssignRequest{Job: "job-000002", Cell: 3, LeaseID: 9})
+	tr, exec := w.execTracer(AssignRequest{Job: "job-000002", Cell: 3})
 	run := tr.Start(exec, telemetry.KindRun, "run-003")
 	tr.Start(run, telemetry.KindWindow, "window 1", telemetry.Num("time_s", 0))
 	tr.End(run, telemetry.Str("error", context.Canceled.Error()))
@@ -327,7 +327,7 @@ func flushBatch() []telemetry.Span {
 func FuzzDecodeSpanBatch(f *testing.F) {
 	run := encodeSpanBatch(recordedBatch(f))
 	f.Add(run)
-	f.Add(encodeSpanBatch(flushBatch()))
+	f.Add(encodeSpanBatch(cutBatch()))
 	f.Add(encodeSpanBatch(nil))
 	f.Add(run[:len(run)/2])
 	f.Add(append([]byte{spanBatchVersion + 1}, run[1:]...))
@@ -357,8 +357,8 @@ func FuzzDecodeSpanBatch(f *testing.F) {
 }
 
 // BenchmarkSpanBatchCodec encodes and decodes one recorded example-tournament
-// run's span batch, beside encoding/json on the same spans (the completion
-// format it replaced).
+// run's span batch, beside encoding/json on the same spans (the format it
+// replaced).
 func BenchmarkSpanBatchCodec(b *testing.B) {
 	spans := recordedBatch(b)
 	batch := encodeSpanBatch(spans)

@@ -21,7 +21,8 @@ type ClusterStatus struct {
 	// Workers lists the live membership (id order), including per-worker
 	// inflight, lifetime assigned/completed counts and clock offsets.
 	Workers []WorkerStatus `json:"workers"`
-	// Alive and LeasesActive are the membership and lease-table sizes.
+	// Alive is the membership size; LeasesActive counts cell attempts in
+	// flight.
 	Alive        int `json:"alive"`
 	LeasesActive int `json:"leases_active"`
 	// ShardImbalance is max-over-mean lifetime assignments (see the
@@ -49,7 +50,7 @@ func (c *Coordinator) Status() ClusterStatus {
 	return ClusterStatus{
 		Workers:           c.members.Snapshot(),
 		Alive:             c.members.Alive(),
-		LeasesActive:      c.leases.Active(),
+		LeasesActive:      int(c.attempts.Load()),
 		ShardImbalance:    c.members.Imbalance(),
 		ThroughputCPM:     c.events.RecentCommits(throughputWindow),
 		ChurnPerMin:       c.events.RecentReassigns(time.Minute),

@@ -23,7 +23,7 @@ import (
 // campaign.Cells; tests and benchmarks substitute stubs.
 type Executor func(ctx context.Context, spec service.Spec, cell int, warmAgent json.RawMessage) (json.RawMessage, error)
 
-// workerSpanBatchCap bounds the span batch shipped back with one completion.
+// workerSpanBatchCap bounds the span batch shipped back with one result.
 // The newest spans win — and because the exec root span ends last, the tail
 // always contains it, so the batch stays attachable under the coordinator's
 // dispatch span.
@@ -51,8 +51,8 @@ type WorkerConfig struct {
 }
 
 // Worker is one cluster execution node: it registers with the coordinator,
-// heartbeats, accepts leased cell assignments up to its capacity, executes
-// them, and streams each result back.
+// heartbeats, and accepts cell assignments up to its capacity, answering
+// each one with the cell's result once the cell has run.
 type Worker struct {
 	cfg    WorkerConfig
 	exec   Executor
@@ -61,12 +61,12 @@ type Worker struct {
 	reg    *telemetry.Registry
 	log    *slog.Logger
 
-	// ctx is the execution context handed to cells. It stays live through a
-	// graceful Stop (in-flight cells finish and post their results) and is
-	// cancelled only by Kill — or by Stop after the drain, as a backstop.
+	// ctx bounds every cell execution. It stays live through a graceful Stop
+	// (in-flight cells finish and answer) and is cancelled only by Kill — or
+	// by Stop after the drain, as a backstop.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// wg tracks the heartbeat loop and every in-flight execution. stopMu
+	// wg tracks the heartbeat loop and every in-flight assignment. stopMu
 	// serializes handleAssign's wg.Add against Stop's wg.Wait: once stopping
 	// is set no new execution may join the group, so the drain cannot race a
 	// late assignment (sync.WaitGroup forbids Add concurrent with Wait from
@@ -84,15 +84,10 @@ type Worker struct {
 	// clock) in microseconds, from heartbeat round trips. Span batches are
 	// shifted by it before shipping, so the merged trace sits on one clock.
 	clockOffsetUS atomic.Int64
-	// batchesFlushed / batchesDiscarded account for span batches of drained
-	// or killed cells: flushed ones still reach the coordinator's archive via
-	// a Flush completion, discarded ones die with the node.
-	batchesFlushed   atomic.Int64
-	batchesDiscarded atomic.Int64
 	// killed simulates a crash for failure-path tests: heartbeats stop, new
-	// assignments are refused, and in-flight results are dropped instead of
-	// posted — the process keeps running but the node is gone as far as the
-	// cluster can tell.
+	// assignments are refused, and in-flight responses are aborted instead of
+	// answered — the process keeps running but the node is gone as far as
+	// the cluster can tell.
 	killed atomic.Bool
 
 	// heartbeatEvery arrives from the coordinator at registration.
@@ -132,12 +127,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		func() float64 { return float64(w.executed.Load()) })
 	w.reg.CounterFunc("thermworker_cells_failed_total", "Cells that returned an error.",
 		func() float64 { return float64(w.failed.Load()) })
-	w.reg.CounterFunc("thermworker_span_batches_flushed_total",
-		"Partial span batches of drained cells flushed to the coordinator.",
-		func() float64 { return float64(w.batchesFlushed.Load()) })
-	w.reg.CounterFunc("thermworker_span_batches_discarded_total",
-		"Span batches dropped because the worker was killed or the flush was undeliverable.",
-		func() float64 { return float64(w.batchesDiscarded.Load()) })
 	w.reg.GaugeFunc("thermworker_clock_offset_us",
 		"Estimated coordinator-minus-worker clock offset, microseconds.",
 		func() float64 { return float64(w.clockOffsetUS.Load()) })
@@ -155,7 +144,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.reg.GaugeFunc("thermworker_learning_last_converge_epoch",
 		"Converge epoch of this worker process's most recently converged run.",
 		func() float64 { _, _, last := rl.LearningStats(); return float64(last) })
-	w.mux.HandleFunc("POST /cluster/v1/assign", w.handleAssign)
+	w.mux.HandleFunc("POST /cluster/v2/assign", w.handleAssign)
 	w.mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(rw, "ok")
@@ -202,10 +191,12 @@ func (w *Worker) beginStop() {
 
 // Stop drains the worker gracefully: new assignments are refused, heartbeats
 // halt, and in-flight executions run to completion with a live context and
-// post their results before the execution context is finally cancelled.
-// Cancelling first would make every in-flight cell return "context canceled"
-// and post that as a cell failure, which the coordinator would journal
-// permanently — a routine SIGTERM must never commit spurious failures.
+// answer with their results before the execution context is finally
+// cancelled. Cancelling first would make every in-flight cell return
+// "context canceled" and answer that as a cell failure, which the
+// coordinator would journal permanently — a routine SIGTERM must never
+// commit spurious failures. Keep the HTTP server serving until Stop returns,
+// so those answers reach the wire.
 func (w *Worker) Stop() {
 	w.beginStop()
 	w.wg.Wait()
@@ -213,7 +204,8 @@ func (w *Worker) Stop() {
 }
 
 // Kill simulates a crash (tests): the worker stops heartbeating, refuses new
-// assignments, aborts in-flight executions and silently drops their results.
+// assignments, aborts in-flight executions and their responses, so no result
+// arrives.
 func (w *Worker) Kill() {
 	w.killed.Store(true)
 	w.beginStop()
@@ -229,7 +221,7 @@ func (w *Worker) register(ctx context.Context) error {
 		return err
 	}
 	for {
-		resp, err := postJSON(w.client, w.cfg.Secret, w.cfg.CoordinatorURL+"/cluster/v1/register", body)
+		resp, err := postJSON(ctx, w.client, w.cfg.Secret, w.cfg.CoordinatorURL+"/cluster/v2/register", body)
 		if err == nil {
 			var rr RegisterResponse
 			decErr := json.NewDecoder(resp.Body).Decode(&rr)
@@ -277,7 +269,6 @@ func (w *Worker) heartbeatLoop() {
 		}
 		hb, err := json.Marshal(HeartbeatRequest{
 			ID:            w.cfg.ID,
-			Inflight:      int(w.inflight.Load()),
 			ClockOffsetUS: w.clockOffsetUS.Load(),
 			Metrics:       w.reg.Sample(),
 		})
@@ -285,37 +276,41 @@ func (w *Worker) heartbeatLoop() {
 			continue
 		}
 		t0 := time.Now()
-		resp, err := postJSON(w.client, w.cfg.Secret, w.cfg.CoordinatorURL+"/cluster/v1/heartbeat", hb)
+		resp, err := postJSON(w.ctx, w.client, w.cfg.Secret, w.cfg.CoordinatorURL+"/cluster/v2/heartbeat", hb)
 		rtt := time.Since(t0)
 		if err != nil {
 			w.log.Warn("heartbeat failed", "err", err)
 			continue
 		}
-		if resp.StatusCode == http.StatusOK {
+		var hr struct {
+			HeartbeatResponse
+			Error string `json:"error"`
+		}
+		decErr := json.NewDecoder(resp.Body).Decode(&hr)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
 			// offset = coordinator's clock at response minus the round trip's
 			// midpoint (the classic NTP-style symmetric-delay assumption; the
-			// error is bounded by rtt/2). A PR 6 coordinator answers 204 with
-			// no body and the estimate simply stays at its zero value.
-			var hr HeartbeatResponse
-			if decErr := json.NewDecoder(resp.Body).Decode(&hr); decErr == nil && hr.NowUS != 0 {
+			// error is bounded by rtt/2).
+			if decErr == nil {
 				mid := t0.UnixMicro() + rtt.Microseconds()/2
 				w.clockOffsetUS.Store(hr.NowUS - mid)
 			}
-		}
-		code := resp.StatusCode
-		resp.Body.Close()
-		if code == http.StatusNotFound {
+		case http.StatusNotFound:
 			w.log.Info("coordinator forgot this worker, re-registering")
 			if err := w.register(w.ctx); err != nil {
 				w.log.Warn("re-registration failed", "err", err)
 			}
+		default:
+			w.log.Warn("heartbeat refused", "status", resp.StatusCode, "err", hr.Error)
 		}
 	}
 }
 
-// handleAssign accepts one leased cell, ACKs immediately and executes it in
-// the background, streaming the result back to the coordinator's complete
-// endpoint.
+// handleAssign runs one cell and answers with its result once the cell has
+// run. The cell's context ends when the coordinator drops the request or
+// Kill runs.
 func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	if !checkSecret(r, w.cfg.Secret) {
 		httpError(rw, http.StatusUnauthorized, "cluster secret required")
@@ -331,8 +326,8 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The coordinator bounds inflight through its slot accounting; this is
-	// the worker's own backstop (a refused assignment expires the lease and
-	// reassigns, it does not lose the cell).
+	// the worker's own backstop (a refused attempt reassigns the cell, it
+	// does not lose it).
 	if n := w.inflight.Add(1); n > int64(w.cfg.Capacity) {
 		w.inflight.Add(-1)
 		httpError(rw, http.StatusTooManyRequests, "worker %s at capacity (%d inflight)", w.cfg.ID, w.cfg.Capacity)
@@ -340,7 +335,7 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	}
 	// Join the WaitGroup under stopMu: once Stop has set stopping and moved
 	// on to wg.Wait, no new execution may appear, so refuse with 503 — the
-	// lease expires and the cell reassigns to a live worker.
+	// attempt fails and the cell reassigns to a live worker.
 	w.stopMu.Lock()
 	if w.stopping {
 		w.stopMu.Unlock()
@@ -350,75 +345,53 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.wg.Add(1)
 	w.stopMu.Unlock()
-	go w.run(req)
-	rw.WriteHeader(http.StatusAccepted)
+	defer w.wg.Done()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(w.ctx, cancel)()
+	res := w.run(ctx, req)
+	if w.killed.Load() {
+		// Crashed: the result — and its trace — dies with the node.
+		panic(http.ErrAbortHandler)
+	}
+	httpJSON(rw, http.StatusOK, res)
 }
 
-// run executes one assignment and posts its completion. When the assignment
-// carries a TraceContext, the cell runs under a per-assignment tracer rooted
-// at an exec span — experiments.TracedConfig picks the (tracer, span) pair
-// off the context, so run/window/epoch spans nest under it automatically —
-// and the completed batch ships back on the completion, timestamps
-// pre-shifted into the coordinator's clock.
-func (w *Worker) run(req AssignRequest) {
-	defer w.wg.Done()
+// run executes one assignment and returns its result. When the assignment
+// asks for a trace, the cell runs under a per-assignment tracer rooted at an
+// exec span — experiments.TracedConfig picks the (tracer, span) pair off the
+// context, so run/window/epoch spans nest under it automatically — and the
+// batch rides on the result, timestamps pre-shifted into the coordinator's
+// clock.
+func (w *Worker) run(ctx context.Context, req AssignRequest) AssignResponse {
 	var (
 		tracer   *telemetry.Tracer
 		execSpan telemetry.SpanID
 	)
-	ctx := w.ctx
-	if req.Trace != nil {
+	if req.Trace {
 		tracer, execSpan = w.execTracer(req)
 		ctx = telemetry.ContextWithSpan(ctx, tracer, execSpan)
 	}
 	execStart := time.Now()
 	row, err := w.exec(ctx, req.Spec, req.Cell, req.WarmAgent)
-	execUS := time.Since(execStart).Microseconds()
-	comp := CompleteRequest{Worker: w.cfg.ID, Job: req.Job, Cell: req.Cell, LeaseID: req.LeaseID, ExecUS: execUS}
+	res := AssignResponse{ExecUS: time.Since(execStart).Microseconds()}
 	if err != nil {
 		w.failed.Add(1)
-		comp.Err = err.Error()
+		res.Err = err.Error()
 	} else {
 		w.executed.Add(1)
-		comp.Row = row
+		res.Row = row
 	}
 	tracer.End(execSpan, telemetry.Bool("error", err != nil))
-	// Free the slot before posting the result: the coordinator releases its
-	// side of the slot the moment the completion lands and may assign the
-	// next cell immediately — decrementing after the post would bounce that
+	// Free the slot before answering: the coordinator releases its side of
+	// the slot the moment the answer lands and may assign the next cell
+	// immediately — decrementing after the answer would bounce that
 	// assignment off the capacity backstop.
 	w.inflight.Add(-1)
-	if w.killed.Load() {
-		// Crashed: the result — and its trace — dies with the node.
-		if tracer != nil {
-			w.batchesDiscarded.Add(1)
-		}
-		return
-	}
 	if tracer != nil {
-		comp.SpanBatch = encodeSpanBatch(w.spanBatch(tracer))
+		res.SpanBatch = encodeSpanBatch(w.spanBatch(tracer))
 	}
-	if err != nil && w.ctx.Err() != nil {
-		// The execution context was cut out from under the cell (Kill, or a
-		// Stop that raced past the drain), so the error says nothing about
-		// the cell itself. Drop the result: the lease expires and the cell
-		// reassigns, instead of journaling a spurious permanent failure. The
-		// partial span batch is still worth archiving, though — flush it as a
-		// span-only completion so the trace shows what the drained cell did.
-		if comp.SpanBatch == nil {
-			return
-		}
-		if w.complete(CompleteRequest{
-			Worker: w.cfg.ID, Job: req.Job, Cell: req.Cell, LeaseID: req.LeaseID,
-			SpanBatch: comp.SpanBatch, Flush: true,
-		}) {
-			w.batchesFlushed.Add(1)
-		} else {
-			w.batchesDiscarded.Add(1)
-		}
-		return
-	}
-	w.complete(comp)
+	return res
 }
 
 // execTracer opens the tracer a traced assignment runs under, rooted at its
@@ -428,8 +401,7 @@ func (w *Worker) execTracer(req AssignRequest) (*telemetry.Tracer, telemetry.Spa
 	return tracer, tracer.Start(0, telemetry.KindExec,
 		fmt.Sprintf("exec %s/%d", req.Job, req.Cell),
 		telemetry.Str("worker", w.cfg.ID),
-		telemetry.Num("cell", float64(req.Cell)),
-		telemetry.Num("lease_id", float64(req.LeaseID)))
+		telemetry.Num("cell", float64(req.Cell)))
 }
 
 // spanBatch snapshots the assignment's tracer into a bounded, clock-aligned
@@ -446,38 +418,6 @@ func (w *Worker) spanBatch(tr *telemetry.Tracer) []telemetry.Span {
 		}
 	}
 	return spans
-}
-
-// complete streams one result to the coordinator, retrying briefly — the
-// lease TTL gives headroom, and an undeliverable result is safe to drop (the
-// lease expires and the cell is reassigned). Reports whether the completion
-// was delivered.
-func (w *Worker) complete(comp CompleteRequest) bool {
-	body, err := json.Marshal(comp)
-	if err != nil {
-		w.log.Error("completion not marshalable", "job", comp.Job, "cell", comp.Cell, "err", err)
-		return false
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		resp, err := postJSON(w.client, w.cfg.Secret, w.cfg.CoordinatorURL+"/cluster/v1/complete", body)
-		if err == nil {
-			var cr CompleteResponse
-			json.NewDecoder(resp.Body).Decode(&cr) //nolint:errcheck // best-effort diagnostics
-			resp.Body.Close()
-			if cr.Duplicate {
-				w.log.Info("result was stale (lease reassigned)", "job", comp.Job, "cell", comp.Cell)
-			}
-			return true
-		}
-		w.log.Warn("completion undeliverable, retrying", "job", comp.Job, "cell", comp.Cell, "attempt", attempt, "err", err)
-		select {
-		case <-time.After(200 * time.Millisecond):
-		case <-w.ctx.Done():
-			return false
-		}
-	}
-	w.log.Error("completion dropped after retries; lease will expire and reassign", "job", comp.Job, "cell", comp.Cell)
-	return false
 }
 
 // ExecuteCell is the default executor: rebuild the job's deterministic cell

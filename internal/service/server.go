@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -170,9 +171,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// ReadBody reads r's body, at most durable.MaxPayload bytes of it. On a read
+// error it answers with the JSON error envelope and returns false: 413 past
+// the bound, 400 for any other error (a client that hung up mid-body). Every
+// route that takes a body reads it here, the cluster's included.
+func ReadBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "read %s: %v", what, err)
+		return nil, false
+	}
+	return body, true
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := ReadBody(w, r, "spec")
+	if !ok {
+		return
+	}
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
@@ -187,9 +209,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // any) is carried onto the job spec so the pool resolves it like any other
 // warm start.
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "read campaign document: %v", err)
+	body, ok := ReadBody(w, r, "campaign document")
+	if !ok {
 		return
 	}
 	cs, err := campaign.ParseSpec(body)
@@ -416,9 +437,8 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	if cs == nil {
 		return
 	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "read checkpoint payload: %v", err)
+	payload, ok := ReadBody(w, r, "checkpoint payload")
+	if !ok {
 		return
 	}
 	if _, err := policy.DecodeCheckpoint(payload); err != nil {

@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -313,5 +317,59 @@ func TestServerEvents(t *testing.T) {
 	// Unknown job and a job without a recorder both 404.
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/job-000042/events", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown job events: %d, want 404", code)
+	}
+}
+
+// repeatA is an endless stream of the byte 'a'.
+type repeatA struct{}
+
+func (repeatA) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestServerBodiesBounded: every route that takes a body reads at most
+// durable.MaxPayload bytes of it. One byte more answers 413, a body that
+// ends early (the client hung up) answers 400, both with the JSON error
+// envelope.
+func TestServerBodiesBounded(t *testing.T) {
+	store := NewStore(0)
+	pool := NewPool(store, 1)
+	cs, err := durable.OpenCheckpoints(filepath.Join(t.TempDir(), "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.SetCheckpoints(cs)
+	srv := NewServer(store, pool)
+	for _, route := range []string{"/v1/jobs", "/v1/campaigns", "/v1/checkpoints/big"} {
+		for _, c := range []struct {
+			name string
+			body io.Reader
+			want int
+		}{
+			{"64 MiB + 1 byte", io.LimitReader(repeatA{}, durable.MaxPayload+1), http.StatusRequestEntityTooLarge},
+			// What the server's body reader returns when the client hangs up
+			// before its Content-Length is in.
+			{"ends early", io.MultiReader(strings.NewReader(`{"experiment":"`),
+				iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, c.body))
+			var envelope map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope["error"] == "" {
+				t.Fatalf("%s body to %s answered %q, want a JSON error envelope (%v)", c.name, route, rec.Body, err)
+			}
+			if rec.Code != c.want {
+				t.Errorf("%s body to %s answered %d (%s), want %d", c.name, route, rec.Code, envelope["error"], c.want)
+			}
+		}
+	}
+	if jobs := store.List(); len(jobs) != 0 {
+		t.Fatalf("refused bodies created %d jobs", len(jobs))
+	}
+	if list := cs.List(); len(list) != 0 {
+		t.Fatalf("refused bodies stored %d checkpoints", len(list))
 	}
 }

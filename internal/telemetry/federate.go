@@ -87,8 +87,9 @@ func (r *Registry) Sample() []SampleFamily {
 
 // WithLabel injects one label into an already-rendered label set, keeping the
 // canonical key order. The value is escaped like any exposition label value.
-// Existing label values containing literal commas would be split incorrectly;
-// the repo's own metrics never embed commas in label values.
+// Existing label values containing literal commas would be split incorrectly
+// (ValidatePrometheus rejects the result); the repo's own metrics never embed
+// commas in label values.
 func WithLabel(labels, key, value string) string {
 	pair := key + `="` + escapeLabelValue(value) + `"`
 	if labels == "" || labels == "{}" {
@@ -133,9 +134,9 @@ func WriteSampleFamilies(w io.Writer, fams []SampleFamily) error {
 // declared `# TYPE ... histogram` must emit cumulative, non-decreasing
 // buckets with strictly ascending le bounds, an explicit +Inf bucket, and
 // _count/_sum samples whose _count equals the +Inf bucket. It also rejects
-// duplicate series and samples appearing before their TYPE line. This is the
-// self-test make cluster-obs-test runs against every registry that exposes a
-// histogram.
+// duplicate series, samples appearing before their TYPE line, malformed
+// metric names, label sets that ParseLabels refuses, and anything after a
+// sample's value and timestamp.
 func ValidatePrometheus(r io.Reader) error {
 	type histSeries struct {
 		les      []float64
@@ -160,7 +161,14 @@ func ValidatePrometheus(r io.Reader) error {
 		}
 		if strings.HasPrefix(text, "#") {
 			fields := strings.Fields(text)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
+			if len(fields) >= 2 && (fields[1] == "HELP" || fields[1] == "TYPE") &&
+				(len(fields) < 3 || !validMetricName(fields[2])) {
+				return fmt.Errorf("telemetry: line %d: %s line without a valid metric name", line, fields[1])
+			}
+			if len(fields) >= 2 && fields[1] == "TYPE" {
+				if len(fields) != 4 {
+					return fmt.Errorf("telemetry: line %d: malformed TYPE line %q", line, text)
+				}
 				name, kind := fields[2], fields[3]
 				if _, dup := types[name]; dup {
 					return fmt.Errorf("telemetry: line %d: duplicate TYPE for %s", line, name)
@@ -197,9 +205,9 @@ func ValidatePrometheus(r io.Reader) error {
 			if kind == kindHistogram {
 				return fmt.Errorf("telemetry: line %d: bare sample %s for histogram family", line, name)
 			}
-			key := name + labels
+			key := name + renderLabels(labels)
 			if seen[key] {
-				return fmt.Errorf("telemetry: line %d: duplicate series %s%s", line, name, labels)
+				return fmt.Errorf("telemetry: line %d: duplicate series %s", line, key)
 			}
 			seen[key] = true
 			continue
@@ -292,57 +300,148 @@ func SelfTest(regs ...*Registry) error {
 	return ValidatePrometheus(strings.NewReader(sb.String()))
 }
 
-// parseSampleLine splits `name{labels} value [ts]` into its parts.
-func parseSampleLine(text string) (name, labels string, value float64, err error) {
-	rest := text
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		j := strings.LastIndexByte(rest, '}')
-		if j < i {
-			return "", "", 0, fmt.Errorf("unbalanced label braces in %q", text)
+// parseSampleLine splits `name{labels} value [timestamp]` into its parts.
+func parseSampleLine(text string) (name string, labels []Label, value float64, err error) {
+	n := 0
+	for n < len(text) && nameByte(text[n], n == 0, true) {
+		n++
+	}
+	name, rest := text[:n], text[n:]
+	if name == "" {
+		return "", nil, 0, fmt.Errorf("sample %q has no valid metric name", text)
+	}
+	if strings.HasPrefix(rest, "{") {
+		labels, n, err = scanLabels(rest)
+		if err != nil {
+			return "", nil, 0, err
 		}
-		name, labels, rest = rest[:i], rest[i:j+1], strings.TrimSpace(rest[j+1:])
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) < 2 {
-			return "", "", 0, fmt.Errorf("malformed sample %q", text)
-		}
-		name, rest = fields[0], strings.Join(fields[1:], " ")
+		rest = rest[n:]
 	}
 	fields := strings.Fields(rest)
-	if len(fields) < 1 {
-		return "", "", 0, fmt.Errorf("sample %q has no value", text)
+	if len(fields) == 0 || len(fields) > 2 || (rest[0] != ' ' && rest[0] != '\t') {
+		return "", nil, 0, fmt.Errorf("malformed sample %q: want name{labels} value [timestamp]", text)
 	}
 	value, err = strconv.ParseFloat(fields[0], 64)
 	if err != nil {
-		return "", "", 0, fmt.Errorf("sample %q has non-numeric value: %v", text, err)
+		return "", nil, 0, fmt.Errorf("sample %q has non-numeric value: %v", text, err)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return "", nil, 0, fmt.Errorf("sample %q has a bad timestamp: %v", text, err)
+		}
 	}
 	return name, labels, value, nil
 }
 
-// splitLE extracts the le label from a rendered label set, returning the le
-// value and the label set with le removed (canonical form, "" when empty).
-// Like WithLabel, it assumes label values without literal commas — true for
-// every metric this repo registers.
-func splitLE(labels string) (le, rest string, ok bool) {
-	if labels == "" {
-		return "", "", false
-	}
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-	if inner == "" {
-		return "", "", false
-	}
-	parts := strings.Split(inner, ",")
-	kept := parts[:0]
-	for _, p := range parts {
-		if v, found := strings.CutPrefix(p, `le="`); found {
-			le = strings.TrimSuffix(v, `"`)
-			ok = true
+// splitLE extracts the le label from a sample's labels, returning the le
+// value and the other labels rendered canonically ("" when none).
+func splitLE(labels []Label) (le, rest string, ok bool) {
+	kept := make([]Label, 0, len(labels))
+	for _, l := range labels {
+		if l.Key == "le" {
+			le, ok = l.Value, true
 			continue
 		}
-		kept = append(kept, p)
+		kept = append(kept, l)
 	}
-	if len(kept) == 0 {
-		return le, "", ok
+	return le, renderLabels(kept), ok
+}
+
+// ParseLabels parses a rendered label set strictly: "" or "{}" for none,
+// otherwise `{name="value",...}` with valid label names, no name twice, each
+// value's backslash, double quote and newline escaped (\\, \", \n), and
+// nothing after the closing brace. It returns the labels in their order.
+func ParseLabels(s string) ([]Label, error) {
+	if s == "" {
+		return nil, nil
 	}
-	return le, "{" + strings.Join(kept, ",") + "}", ok
+	labels, n, err := scanLabels(s)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(s) {
+		return nil, fmt.Errorf("telemetry: label set %q: %q after the closing brace", s, s[n:])
+	}
+	return labels, nil
+}
+
+// scanLabels parses the label set s starts with and returns its labels and
+// the number of bytes it spans.
+func scanLabels(s string) ([]Label, int, error) {
+	bad := func(i int, what string) ([]Label, int, error) {
+		return nil, 0, fmt.Errorf("telemetry: label set %q: %s at byte %d", s, what, i)
+	}
+	if !strings.HasPrefix(s, "{") {
+		return bad(0, "no opening brace")
+	}
+	if strings.HasPrefix(s, "{}") {
+		return nil, 2, nil
+	}
+	var labels []Label
+	for i := 1; ; {
+		j := i
+		for j < len(s) && nameByte(s[j], j == i, false) {
+			j++
+		}
+		key := s[i:j]
+		if key == "" || !strings.HasPrefix(s[j:], `="`) {
+			return bad(i, `want name="value"`)
+		}
+		for _, l := range labels {
+			if l.Key == key {
+				return bad(i, "duplicate label "+key)
+			}
+		}
+		var v strings.Builder
+		for j += 2; ; j++ {
+			if j >= len(s) || s[j] == '\n' {
+				return bad(j, "unterminated value")
+			}
+			if s[j] == '"' {
+				break
+			}
+			if s[j] == '\\' {
+				j++
+				switch {
+				case j >= len(s):
+					return bad(j, "unterminated value")
+				case s[j] == 'n':
+					v.WriteByte('\n')
+				case s[j] == '\\' || s[j] == '"':
+					v.WriteByte(s[j])
+				default:
+					return bad(j, "unknown escape")
+				}
+				continue
+			}
+			v.WriteByte(s[j])
+		}
+		labels = append(labels, Label{Key: key, Value: v.String()})
+		switch j++; {
+		case j < len(s) && s[j] == '}':
+			return labels, j + 1, nil
+		case j < len(s) && s[j] == ',':
+			i = j + 1
+		default:
+			return bad(j, "want , or }")
+		}
+	}
+}
+
+// nameByte reports whether c may stand in a metric name (metric, which also
+// allows colons) or a label name; first marks the name's first byte, which
+// may not be a digit.
+func nameByte(c byte, first, metric bool) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+		!first && '0' <= c && c <= '9' || metric && c == ':'
+}
+
+// validMetricName reports whether s is a valid metric name.
+func validMetricName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !nameByte(s[i], i == 0, true) {
+			return false
+		}
+	}
+	return s != ""
 }

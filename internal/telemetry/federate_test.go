@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -133,6 +134,47 @@ func TestValidatePrometheusRejects(t *testing.T) {
 				"h_sum 1\nh_count 1\n",
 			wantErr: "ascending",
 		},
+		{
+			// What WithLabel makes of a value with a comma in it.
+			name:    "comma_split_label",
+			text:    "# TYPE c counter\n" + `c{a="x,worker="w1",y"} 1` + "\n",
+			wantErr: "want , or }",
+		},
+		{
+			name:    "duplicate_label",
+			text:    "# TYPE c counter\n" + `c{worker="w0",worker="w1"} 1` + "\n",
+			wantErr: "duplicate label",
+		},
+		{
+			name:    "unterminated_label",
+			text:    "# TYPE c counter\n" + `c{a="1} 1` + "\n",
+			wantErr: "unterminated",
+		},
+		{
+			name:    "unknown_escape",
+			text:    "# TYPE c counter\n" + `c{a="\t"} 1` + "\n",
+			wantErr: "escape",
+		},
+		{
+			name:    "bad_metric_name",
+			text:    "# TYPE bad-name counter\nbad-name 1\n",
+			wantErr: "metric name",
+		},
+		{
+			name:    "text_after_value",
+			text:    "# TYPE c counter\nc 1 2 3\n",
+			wantErr: "malformed sample",
+		},
+		{
+			name:    "value_glued_to_labels",
+			text:    "# TYPE c counter\n" + `c{a="1"}1` + "\n",
+			wantErr: "malformed sample",
+		},
+		{
+			name:    "unknown_type",
+			text:    "# TYPE s summary\ns 1\n",
+			wantErr: "unknown TYPE",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +186,31 @@ func TestValidatePrometheusRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestParseLabels: a rendered label set parses back to its labels, escapes
+// included, and anything a renderer could not have written is an error.
+func TestParseLabels(t *testing.T) {
+	for in, want := range map[string][]Label{
+		"":                             nil,
+		"{}":                           nil,
+		`{a="1",b_2="x,y"}`:            {{"a", "1"}, {"b_2", "x,y"}},
+		`{v="q\"uote \\ line\nbreak"}`: {{"v", "q\"uote \\ line\nbreak"}},
+		renderLabels([]Label{{"z", "a\"b\\c\nd"}, {"k", ""}}): {{"k", ""}, {"z", "a\"b\\c\nd"}},
+	} {
+		got, err := ParseLabels(in)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseLabels(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		`a="1"`, `{a="1"`, `{a="1"} 1`, `{a="1",}`, `{1a="1"}`, `{a=1}`, `{a="1"b="2"}`,
+		"{a=\"1\n\"}", `{a="1",a="2"}`, `{a="\x"}`, `{a="1"}` + "\n#",
+	} {
+		if got, err := ParseLabels(in); err == nil {
+			t.Errorf("ParseLabels(%q) = %q, want an error", in, got)
+		}
 	}
 }
 
