@@ -50,20 +50,23 @@ stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RUN)' $(STRESS_PKGS)
 
 # Fuzz smoke: each native fuzz target in FUZZ_TARGETS fuzzes for five
-# seconds on top of its seed corpus, which plain `go test` already runs. Like
-# stress, the target first checks that `go test -list` finds every listed
-# target. A new interesting input is minimized for at most a second, so a
-# fresh fuzz cache does not spend the smoke's time minimizing. A crasher lands
-# in the package's testdata/fuzz/ and becomes a corpus entry.
-FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics
+# seconds, in whichever of FUZZ_PKGS declares it, on top of its seed corpus,
+# which plain `go test` already runs. Like stress, the target first checks
+# that `go test -list` finds every listed target. A new interesting input is
+# minimized for at most a second, so a fresh fuzz cache does not spend the
+# smoke's time minimizing. A crasher lands in the package's testdata/fuzz/
+# and becomes a corpus entry.
+FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics FuzzParseSpec
+FUZZ_PKGS = ./internal/cluster ./internal/campaign
 FUZZ_RUN = ^($(subst $(space),|,$(strip $(FUZZ_TARGETS))))$$
 fuzz-smoke:
-	@targets=$$($(GO) test -list '$(FUZZ_RUN)' ./internal/cluster | grep '^Fuzz'); \
-	found=$$(echo "$$targets" | grep -c '^Fuzz'); \
+	@found=$$($(GO) test -list '$(FUZZ_RUN)' $(FUZZ_PKGS) | grep -c '^Fuzz'); \
 	if [ "$$found" -lt $(words $(FUZZ_TARGETS)) ]; then \
 		echo "fuzz-smoke: go test -list finds $$found of the $(words $(FUZZ_TARGETS)) targets in FUZZ_TARGETS"; exit 1; fi; \
-	for t in $$targets; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s -fuzzminimizetime 1s ./internal/cluster || exit 1; \
+	for pkg in $(FUZZ_PKGS); do \
+		for t in $$($(GO) test -list '$(FUZZ_RUN)' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s -fuzzminimizetime 1s $$pkg || exit 1; \
+		done; \
 	done
 
 # The end-to-end benchmark (perfbench/, its own module) compiles against part
@@ -110,7 +113,7 @@ bench-compare-smoke:
 # Span-propagation overhead gate: PR 7 threads trace context through every
 # dispatch round trip, so BenchmarkClusterDispatch must stay within 5% ns/op
 # of the pre-tracing PR 6 baseline (the recorded delta lands in BENCH_pr7.json
-# via `make bench`). -gate-ns: the span batch on the completion payload
+# via `make bench`). -gate-ns: the span batch on the assignment's response
 # legitimately allocates — allocs/op is reported, latency gates. Not part of
 # ci: a 5% wall-clock gate against a baseline recorded in a different run is
 # only meaningful on a quiet machine.

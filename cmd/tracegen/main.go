@@ -14,7 +14,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -24,7 +24,7 @@ func main() {
 	appName := flag.String("app", "tachyon", "application: tachyon, mpeg_dec, mpeg_enc, face_rec, sphinx")
 	scenario := flag.String("scenario", "", "inter-application scenario like mpegdec-tachyon (overrides -app)")
 	dataSet := flag.Int("set", 1, "input data set (1-3)")
-	policy := flag.String("policy", "linux-ondemand", "policy: linux-ondemand, linux-powersave, linux-2.4GHz, linux-3.4GHz, ge-qiu, ge-qiu-modified, proposed")
+	policyName := flag.String("policy", "linux-ondemand", "policy: linux-ondemand, linux-powersave, linux-2.4GHz, linux-3.4GHz, ge-qiu, ge-qiu-modified, proposed")
 	out := flag.String("o", "", "output CSV path (default stdout)")
 	interval := flag.Float64("interval", 0.25, "trace sampling interval, seconds")
 	spark := flag.Bool("spark", false, "print per-core sparklines and summaries to stderr")
@@ -54,7 +54,7 @@ func main() {
 		work = a
 	}
 
-	pol, err := experiments.NewPolicy(*policy)
+	pol, err := policy.New(*policyName, policy.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -28,6 +28,21 @@ const Experiment = "tournament"
 // ErrEmptyMatrix reports a spec whose policy x workload matrix is empty.
 var ErrEmptyMatrix = errors.New("campaign: empty matrix: need at least one policy and one workload")
 
+// maxPlanCells bounds the cells one document may plan, about 2,000 times the
+// example tournament's 33. Planning materializes every cell, so a document
+// naming a huge repeat count or seed list must be refused before it is
+// planned.
+const maxPlanCells = 1 << 16
+
+// ErrPlanTooLarge reports a spec whose matrix plans more than maxPlanCells
+// cells.
+var ErrPlanTooLarge = fmt.Errorf("campaign: plan exceeds %d cells", maxPlanCells)
+
+// ErrInvalidSpec is wrapped by every other rejection of a document that
+// decodes: duplicate names, out-of-range counts, trailing data, override
+// keys outside the matrix.
+var ErrInvalidSpec = errors.New("campaign: invalid spec")
+
 // UnknownWorkloadError reports a workload name no application (or "-"-joined
 // application sequence) matches.
 type UnknownWorkloadError struct {
@@ -80,7 +95,9 @@ type Spec struct {
 // ParseSpec strictly decodes and validates a tournament document. Malformed
 // JSON (including unknown fields) is reported as a wrapped decode error,
 // unregistered policies as *policy.UnknownPolicyError, unresolvable
-// workloads as *UnknownWorkloadError, and an empty matrix as ErrEmptyMatrix.
+// workloads as *UnknownWorkloadError, an empty matrix as ErrEmptyMatrix, a
+// plan past maxPlanCells as ErrPlanTooLarge, and anything else as a wrapped
+// ErrInvalidSpec.
 func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -89,7 +106,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("campaign: parse spec: %w", err)
 	}
 	if dec.More() {
-		return nil, fmt.Errorf("campaign: parse spec: trailing data after document")
+		return nil, fmt.Errorf("%w: trailing data after document", ErrInvalidSpec)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -97,7 +114,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Validate checks the matrix without running anything.
+// Validate checks the matrix without running or planning anything.
 func (s *Spec) Validate() error {
 	if len(s.Policies) == 0 || len(s.Workloads) == 0 {
 		return ErrEmptyMatrix
@@ -108,7 +125,7 @@ func (s *Spec) Validate() error {
 			return &policy.UnknownPolicyError{Name: p}
 		}
 		if seenPolicy[p] {
-			return fmt.Errorf("campaign: policy %q listed twice (leaderboard entries would collide)", p)
+			return fmt.Errorf("%w: policy %q listed twice (leaderboard entries would collide)", ErrInvalidSpec, p)
 		}
 		seenPolicy[p] = true
 	}
@@ -118,26 +135,45 @@ func (s *Spec) Validate() error {
 			return err
 		}
 		if seenWorkload[w] {
-			return fmt.Errorf("campaign: workload %q listed twice", w)
+			return fmt.Errorf("%w: workload %q listed twice", ErrInvalidSpec, w)
 		}
 		seenWorkload[w] = true
 	}
 	if s.Repeats < 0 {
-		return fmt.Errorf("campaign: negative repeats %d", s.Repeats)
+		return fmt.Errorf("%w: negative repeats %d", ErrInvalidSpec, s.Repeats)
 	}
 	if s.DataSet < 0 || s.DataSet > 3 {
-		return fmt.Errorf("campaign: dataset %d out of range 1..3", s.DataSet)
+		return fmt.Errorf("%w: dataset %d out of range 1..3", ErrInvalidSpec, s.DataSet)
 	}
 	for key, ov := range s.Overrides {
 		p, w, ok := splitOverrideKey(key)
 		if !ok || !seenPolicy[p] || !seenWorkload[w] {
-			return fmt.Errorf("campaign: override key %q does not name a \"policy/workload\" cell of the matrix", key)
+			return fmt.Errorf("%w: override key %q does not name a \"policy/workload\" cell of the matrix", ErrInvalidSpec, key)
 		}
 		if ov.Repeats < 0 {
-			return fmt.Errorf("campaign: override %q: negative repeats %d", key, ov.Repeats)
+			return fmt.Errorf("%w: override %q: negative repeats %d", ErrInvalidSpec, key, ov.Repeats)
 		}
 	}
+	if _, ok := s.planSize(); !ok {
+		return ErrPlanTooLarge
+	}
 	return nil
+}
+
+// planSize counts the cells plan expands. It stops with ok false as soon as
+// the count would pass maxPlanCells, so no product of seeds and repeats can
+// overflow.
+func (s *Spec) planSize() (n int, ok bool) {
+	for _, p := range s.Policies {
+		for _, w := range s.Workloads {
+			seeds, repeats := s.cellShape(p, w)
+			if repeats > (maxPlanCells-n)/len(seeds) {
+				return n, false
+			}
+			n += len(seeds) * repeats
+		}
+	}
+	return n, true
 }
 
 // splitOverrideKey splits "policy/workload" at the first slash (workload
@@ -170,31 +206,36 @@ type cellPlan struct {
 	Repeat           int
 }
 
-// plan expands the matrix in deterministic order: policies x workloads x
-// seeds x repeats, with per-cell overrides applied.
-func (s *Spec) plan() []cellPlan {
-	seeds := s.Seeds
+// cellShape resolves the seeds and repeat count of one (policy, workload)
+// cell: the spec-level values unless its override narrows them.
+func (s *Spec) cellShape(p, w string) (seeds []int64, repeats int) {
+	seeds, repeats = s.Seeds, s.Repeats
 	if len(seeds) == 0 {
 		seeds = []int64{0}
 	}
-	repeats := s.Repeats
 	if repeats <= 0 {
 		repeats = 1
 	}
+	if ov, ok := s.Overrides[p+"/"+w]; ok {
+		if len(ov.Seeds) > 0 {
+			seeds = ov.Seeds
+		}
+		if ov.Repeats > 0 {
+			repeats = ov.Repeats
+		}
+	}
+	return seeds, repeats
+}
+
+// plan expands the matrix in deterministic order: policies x workloads x
+// seeds x repeats, with per-cell overrides applied.
+func (s *Spec) plan() []cellPlan {
 	var cells []cellPlan
 	for _, p := range s.Policies {
 		for _, w := range s.Workloads {
-			cellSeeds, cellRepeats := seeds, repeats
-			if ov, ok := s.Overrides[p+"/"+w]; ok {
-				if len(ov.Seeds) > 0 {
-					cellSeeds = ov.Seeds
-				}
-				if ov.Repeats > 0 {
-					cellRepeats = ov.Repeats
-				}
-			}
-			for _, seed := range cellSeeds {
-				for rep := 0; rep < cellRepeats; rep++ {
+			seeds, repeats := s.cellShape(p, w)
+			for _, seed := range seeds {
+				for rep := 0; rep < repeats; rep++ {
 					cells = append(cells, cellPlan{Policy: p, Workload: w, Seed: seed, Repeat: rep})
 				}
 			}

@@ -8,6 +8,12 @@ import (
 	"repro/internal/policy"
 )
 
+func wantPlanTooLarge(t *testing.T, err error) {
+	if !errors.Is(err, ErrPlanTooLarge) {
+		t.Errorf("err = %v, want ErrPlanTooLarge", err)
+	}
+}
+
 func TestParseSpecGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,6 +104,36 @@ func TestParseSpecGolden(t *testing.T) {
 			},
 		},
 		{
+			name: "oversize repeats",
+			doc:  `{"policies":["linux-ondemand"],"workloads":["tachyon"],"repeats":2000000000}`,
+			want: wantPlanTooLarge,
+		},
+		{
+			name: "oversize override repeats",
+			doc:  `{"policies":["linux-ondemand"],"workloads":["tachyon"],"overrides":{"linux-ondemand/tachyon":{"repeats":2000000000}}}`,
+			want: wantPlanTooLarge,
+		},
+		{
+			// 4 x (2^62+1) wraps to 4 in int64 arithmetic.
+			name: "seeds times repeats overflows",
+			doc:  `{"policies":["linux-ondemand"],"workloads":["tachyon"],"seeds":[1,2,3,4],"repeats":4611686018427387905}`,
+			want: wantPlanTooLarge,
+		},
+		{
+			name: "plan one past the bound",
+			doc:  `{"policies":["linux-ondemand","proposed"],"workloads":["tachyon"],"seeds":[1,2],"repeats":16384,"overrides":{"proposed/tachyon":{"seeds":[7],"repeats":32769}}}`,
+			want: wantPlanTooLarge,
+		},
+		{
+			name: "plan at the bound",
+			doc:  `{"policies":["linux-ondemand","proposed"],"workloads":["tachyon"],"seeds":[1,2],"repeats":16384}`,
+			want: func(t *testing.T, err error) {
+				if err != nil {
+					t.Errorf("a plan of exactly %d cells: %v", maxPlanCells, err)
+				}
+			},
+		},
+		{
 			name: "valid with sequence workload",
 			doc:  `{"name":"ok","policies":["proposed","releta"],"workloads":["mpegdec","mpegdec-tachyon"],"seeds":[1,2],"repeats":2}`,
 			want: func(t *testing.T, err error) {
@@ -155,4 +191,30 @@ func TestAgentSeedDecorrelates(t *testing.T) {
 	if a.agentSeed() == 0 {
 		t.Error("agentSeed produced the package-default sentinel 0")
 	}
+}
+
+// FuzzParseSpec holds ParseSpec to its contract on arbitrary documents: it
+// never panics, every rejection is a typed or wrapped error, and an accepted
+// spec plans exactly the cell count Validate bounded. The seed corpus in
+// testdata/fuzz/FuzzParseSpec holds the example tournament, this file's
+// documents and the oversize-plan documents.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := ParseSpec(doc)
+		if err != nil {
+			var upe *policy.UnknownPolicyError
+			if errors.Unwrap(err) == nil && !errors.Is(err, ErrEmptyMatrix) &&
+				!errors.Is(err, ErrPlanTooLarge) && !errors.As(err, &upe) {
+				t.Fatalf("rejection %q (%T) is neither typed nor wrapped", err, err)
+			}
+			return
+		}
+		n, ok := s.planSize()
+		if !ok {
+			t.Fatal("accepted a spec whose plan passes the bound")
+		}
+		if got := len(s.plan()); got != n {
+			t.Fatalf("accepted spec plans %d cells, Validate counted %d", got, n)
+		}
+	})
 }

@@ -15,7 +15,9 @@
 //
 // Failure semantics: an attempt ends with a result, or it fails and the cell
 // is reassigned to another live worker, the failed one taken again only when
-// no other has a free slot. An attempt fails when it outlives its TTL (slow
+// no other has a free slot. A worker an attempt could not reach at all is
+// passed over by every placement until its next heartbeat, unless every live
+// worker is in the same state. An attempt fails when it outlives its TTL (slow
 // or wedged worker), when its worker is declared dead after missing enough
 // heartbeats or re-registers, when the connection breaks, and when the
 // worker refuses it or answers something that does not decode. A failed

@@ -177,7 +177,8 @@ func (aaaa) Read(p []byte) (int, error) { return copy(p, aaaaChunk), nil }
 
 // TestClusterBodiesBounded: the coordinator reads at most durable.MaxPayload
 // bytes of a cluster request, like the public submit routes, and of an
-// assignment's response. An oversize register or heartbeat gets 413 with the
+// assignment's response; a worker reads at most maxAssignBody bytes of an
+// assignment. An oversize register, heartbeat or assignment gets 413 with the
 // JSON error envelope, a body that ends early gets 400, and neither changes
 // the membership; an oversize result fails its attempt, and the cell commits
 // from the next one.
@@ -193,16 +194,24 @@ func TestClusterBodiesBounded(t *testing.T) {
 		}
 		answerRow(t, w, req)
 	})
-	for _, route := range []string{"/cluster/v2/register", "/cluster/v2/heartbeat"} {
+	for _, route := range []struct {
+		path    string
+		handler http.Handler
+		limit   int64
+	}{
+		{"/cluster/v2/register", tc.coord.Handler(), durable.MaxPayload},
+		{"/cluster/v2/heartbeat", tc.coord.Handler(), durable.MaxPayload},
+		{"/cluster/v2/assign", offlineWorker(0).Handler(), maxAssignBody},
+	} {
 		for _, c := range []struct {
 			name string
 			body io.Reader
 			want int
 		}{
 			// One JSON string a few bytes past the bound, streamed so the
-			// test never holds it; the coordinator buffers up to the bound.
+			// test never holds it; the handler buffers up to the bound.
 			{"oversize", io.MultiReader(strings.NewReader(`{"id":"`),
-				io.LimitReader(aaaa{}, durable.MaxPayload), strings.NewReader(`"}`)),
+				io.LimitReader(aaaa{}, route.limit), strings.NewReader(`"}`)),
 				http.StatusRequestEntityTooLarge},
 			// What the server's body reader returns when the client hangs
 			// up before its Content-Length is in.
@@ -210,13 +219,13 @@ func TestClusterBodiesBounded(t *testing.T) {
 				iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest},
 		} {
 			rec := httptest.NewRecorder()
-			tc.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, c.body))
+			route.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route.path, c.body))
 			var envelope map[string]string
 			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope["error"] == "" {
-				t.Fatalf("%s body to %s answered %q, want a JSON error envelope (%v)", c.name, route, rec.Body, err)
+				t.Fatalf("%s body to %s answered %q, want a JSON error envelope (%v)", c.name, route.path, rec.Body, err)
 			}
 			if rec.Code != c.want {
-				t.Fatalf("%s body to %s answered %d (%s), want %d", c.name, route, rec.Code, envelope["error"], c.want)
+				t.Fatalf("%s body to %s answered %d (%s), want %d", c.name, route.path, rec.Code, envelope["error"], c.want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -165,10 +166,15 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 	// dispatch context; every tracer method is nil-safe, so standalone tests
 	// that call RunCell without one need no branches here.
 	tracer, cellSpan := telemetry.SpanFromContext(ctx)
-	body, err := json.Marshal(AssignRequest{Job: job, Cell: idx, Spec: spec, WarmAgent: warm, Trace: tracer != nil})
-	if err != nil {
+	// Without HTML escaping, re-encoding the campaign document and the warm
+	// payload never lengthens them, so the body stays within maxAssignBody.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(AssignRequest{Job: job, Cell: idx, Spec: spec, WarmAgent: warm, Trace: tracer != nil}); err != nil {
 		return nil, "", fmt.Errorf("cluster: assignment for %s/%d: %w", job, idx, err)
 	}
+	body := buf.Bytes()
 	avoid := ""
 	for attempt := 0; ; attempt++ {
 		wid, wurl, alive, err := c.members.Acquire(ctx, avoid)
@@ -187,7 +193,7 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 			telemetry.Num("attempt", float64(attempt)))
 		start := time.Now()
 		res, arrived, err := c.assign(ctx, alive, wurl, body)
-		c.members.Release(wid)
+		c.members.Release(wid, errors.Is(err, errUnreachable))
 		if err != nil {
 			if ctx.Err() != nil {
 				tracer.End(dispatchSpan, telemetry.Bool("cancelled", true))
@@ -249,11 +255,17 @@ func (c *Coordinator) RunCell(ctx context.Context, job string, spec service.Spec
 	}
 }
 
+// errUnreachable marks an attempt that failed before any response arrived
+// for a reason other than its own deadline or cancellation.
+var errUnreachable = errors.New("worker unreachable")
+
 // assign runs one attempt: it posts the assignment and reads the cell's
 // result from the response, returning when the response headers arrived.
 // The attempt is bounded by the lease TTL and cancelled when alive ends (the
 // worker was swept dead or re-registered). Anything but a 200 whose body
-// decodes within durable.MaxPayload bytes is an error.
+// decodes within durable.MaxPayload bytes is an error; a transport error
+// before the response headers (dial refused, reset, EOF) wraps
+// errUnreachable.
 func (c *Coordinator) assign(ctx, alive context.Context, url string, body []byte) (AssignResponse, time.Time, error) {
 	var res AssignResponse
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.LeaseTTL)
@@ -263,6 +275,9 @@ func (c *Coordinator) assign(ctx, alive context.Context, url string, body []byte
 	defer c.attempts.Add(-1)
 	resp, err := postJSON(ctx, c.client, c.cfg.Secret, url+"/cluster/v2/assign", body)
 	if err != nil {
+		if ctx.Err() == nil {
+			err = fmt.Errorf("%w: %w", errUnreachable, err)
+		}
 		return res, time.Time{}, err
 	}
 	defer resp.Body.Close()
@@ -302,7 +317,7 @@ func (c *Coordinator) warmPayload(spec service.Spec) (json.RawMessage, error) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decodeBody(w, r, &req, "register request") {
+	if !decodeBody(w, r, &req, "register request", durable.MaxPayload) {
 		return
 	}
 	if err := c.members.Register(req.ID, req.URL, req.Capacity); err != nil {
@@ -317,7 +332,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req, "heartbeat") {
+	if !decodeBody(w, r, &req, "heartbeat", durable.MaxPayload) {
 		return
 	}
 	switch err := c.members.Heartbeat(req.ID, req.ClockOffsetUS, req.Metrics); {
@@ -352,11 +367,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 }
 
 // decodeBody decodes r's JSON body into v, read through service.ReadBody
-// like the public submit routes (413 past durable.MaxPayload, 400 for a body
-// that ends early), answering 400 for malformed JSON. It reports whether v
-// was decoded.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
-	body, ok := service.ReadBody(w, r, what)
+// like the public submit routes (413 past limit bytes, 400 for a body that
+// ends early), answering 400 for malformed JSON. It reports whether v was
+// decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string, limit int64) bool {
+	body, ok := service.ReadBody(w, r, what, limit)
 	if !ok {
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 )
 
 // TestHeartbeatExpiry checks the membership layer declares a silent worker
@@ -226,6 +228,46 @@ func TestWorkerConnectionLossReassigns(t *testing.T) {
 	}
 	if got := tc.metric("thermserved_cluster_workers_dead_total"); got != 0 {
 		t.Fatalf("workers_dead_total = %v: the cell waited for heartbeat expiry", got)
+	}
+}
+
+// TestUnreachableWorkerLosesPlacement: a worker whose listener closes
+// mid-job stops winning placement once an attempt finds it unreachable,
+// long before its heartbeats could expire. At most its capacity plus one
+// attempts fail, no lease storm trips, and the rows equal a standalone run.
+func TestUnreachableWorkerLosesPlacement(t *testing.T) {
+	const cells, capacity = 40, 2
+	spec := service.Spec{Experiment: "suite", Quick: true}
+	want := runStandalone(t, cells, spec)
+
+	cfg := testClusterConfig()
+	cfg.HeartbeatEvery = time.Minute // the sweep cannot be what steers cells away
+	tc := startTestCluster(t, cfg, func(_ *service.Store, p *service.Pool) {
+		p.SetPlanner(stubPlanner(cells, 0))
+	})
+	gone := tc.addWorker(capacity, stubExecutor(20*time.Millisecond))
+	tc.addWorker(capacity, stubExecutor(20*time.Millisecond))
+	job, err := tc.pool.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "cells in flight on the first worker", func() bool { return gone.Inflight() > 0 })
+	tc.servers[0].Listener.Close()
+	tc.servers[0].CloseClientConnections()
+
+	final := tc.wait(job.ID, time.Minute)
+	if final.State != service.StateDone || final.Progress.FailedCells != 0 {
+		t.Fatalf("job finished %s with %+v: %s", final.State, final.Progress, final.Error)
+	}
+	rowsAny, _ := tc.store.Rows(final.ID)
+	if rows := rowsAny.([]experiments.SuiteRow); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows differ from the standalone run:\n%+v\n%+v", rows, want)
+	}
+	if got := tc.metric("thermserved_cluster_leases_expired_total"); got > capacity+1 {
+		t.Errorf("%v attempts failed, want at most %d: the unreachable worker kept winning placement", got, capacity+1)
+	}
+	if got, _ := tc.pool.Registry().Value("flightrec_alerts_total", telemetry.L("kind", telemetry.AnomalyLeaseStorm)); got != 0 {
+		t.Errorf("lease storm tripped %v times", got)
 	}
 }
 

@@ -37,6 +37,11 @@ type member struct {
 	// re-registration, cancelling every attempt in flight on it.
 	alive  context.Context
 	cancel context.CancelFunc
+	// suspect marks a worker an attempt could not reach (see Release): most
+	// likely a process that died since its last heartbeat. Acquire passes it
+	// over while any live worker is not suspect; its next heartbeat clears
+	// the mark, and the sweep removes it with the member.
+	suspect bool
 }
 
 // errUnknownWorker answers a heartbeat from an id the coordinator does not
@@ -121,6 +126,10 @@ func (m *Membership) Heartbeat(id string, clockOffsetUS int64, metrics []telemet
 	}
 	w.lastBeat = m.now()
 	w.clockOffsetUS = clockOffsetUS
+	if w.suspect {
+		w.suspect = false
+		m.broadcastLocked()
+	}
 	return nil
 }
 
@@ -279,13 +288,18 @@ func (m *Membership) Sweep(expireAfter time.Duration) []string {
 // inflight/capacity ratio; ties go to the fewest lifetime assignments, then
 // to the lowest id. avoid names a worker to pass over (a reassignment passes
 // the one whose attempt failed); it is taken only when no other worker has a
-// free slot. Release must be called exactly once per successful Acquire.
+// free slot. A suspect worker is taken only when every live worker is
+// suspect. Release must be called exactly once per successful Acquire.
 func (m *Membership) Acquire(ctx context.Context, avoid string) (id, url string, alive context.Context, err error) {
 	for {
 		m.mu.Lock()
+		allSuspect := true
+		for _, w := range m.workers {
+			allSuspect = allSuspect && w.suspect
+		}
 		var best *member
 		for _, w := range m.workers {
-			if w.inflight < w.capacity && (best == nil || placeBefore(w, best, avoid)) {
+			if w.inflight < w.capacity && (!w.suspect || allSuspect) && (best == nil || placeBefore(w, best, avoid)) {
 				best = w
 			}
 		}
@@ -322,8 +336,10 @@ func placeBefore(a, b *member, avoid string) bool {
 }
 
 // Release returns one inflight slot to a worker; a no-op for ids that died
-// in the meantime.
-func (m *Membership) Release(id string) {
+// in the meantime. unreachable reports that the attempt failed before any
+// response arrived (dial refused, connection reset, EOF), which marks the
+// worker suspect.
+func (m *Membership) Release(id string, unreachable bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w, ok := m.workers[id]
@@ -332,6 +348,9 @@ func (m *Membership) Release(id string) {
 	}
 	if w.inflight > 0 {
 		w.inflight--
+	}
+	if unreachable {
+		w.suspect = true
 	}
 	m.broadcastLocked()
 }

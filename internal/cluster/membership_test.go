@@ -84,7 +84,7 @@ func TestAcquireRespectsCapacity(t *testing.T) {
 	if st := m.Snapshot(); st[0].Inflight != 2 {
 		t.Fatalf("w0 inflight %d, want its capacity 2", st[0].Inflight)
 	}
-	m.Release("w0")
+	m.Release("w0", false)
 	if got := mustReturn(t, pending, "a Release"); got.err != nil || got.id != "w0" {
 		t.Fatalf("Acquire after Release = %+v, want w0", got)
 	}
@@ -123,7 +123,7 @@ func TestAcquireBalancesEqualWorkers(t *testing.T) {
 			held[i] = mustAcquire(t, m, "")
 		}
 		for _, id := range held {
-			m.Release(id)
+			m.Release(id, false)
 		}
 	}
 	st := m.Snapshot()
@@ -156,10 +156,43 @@ func TestAcquireAvoid(t *testing.T) {
 	if id := mustAcquire(t, m, "w0"); id != "w0" {
 		t.Fatalf("Acquire with only w0 free took %q, want w0", id)
 	}
-	m.Release("w0")
-	m.Release("w1")
+	m.Release("w0", false)
+	m.Release("w1", false)
 	// Unknown or empty avoid ids change nothing.
 	if id := mustAcquire(t, m, "gone"); id != "w0" {
 		t.Fatalf("Acquire avoiding an unknown id took %q, want w0 (fewest assignments tie, lowest id)", id)
+	}
+}
+
+// TestAcquireSkipsSuspect: a worker released as unreachable is passed over
+// while any live worker is not suspect, even a full one, until its next
+// heartbeat clears the mark; once every worker is suspect, any free slot is
+// taken.
+func TestAcquireSkipsSuspect(t *testing.T) {
+	m := NewMembership()
+	register(t, m, "w0", 1)
+	register(t, m, "w1", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if id := mustAcquire(t, m, ""); id != "w0" {
+		t.Fatalf("first slot went to %q, want w0", id)
+	}
+	m.Release("w0", true)
+	if id := mustAcquire(t, m, ""); id != "w1" {
+		t.Fatalf("Acquire after w0 was unreachable took %q, want w1", id)
+	}
+	pending := acquireAsync(ctx, m, "")
+	mustBlock(t, pending, "w1 is full and w0 is suspect")
+	if err := m.Heartbeat("w0", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustReturn(t, pending, "w0's heartbeat"); got.err != nil || got.id != "w0" {
+		t.Fatalf("Acquire after w0's heartbeat = %+v, want w0", got)
+	}
+	m.Release("w0", true)
+	m.Release("w1", true)
+	// Both suspect and idle: w1 wins on fewer lifetime assignments.
+	if id := mustAcquire(t, m, ""); id != "w1" {
+		t.Fatalf("Acquire with every worker suspect took %q, want w1", id)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/durable"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -16,7 +17,8 @@ import (
 // (spanwire.go), which JSON sends as base64. Durations cross the wire as
 // integer milliseconds or microseconds so the payloads stay readable in curl
 // and logs. The coordinator reads at most durable.MaxPayload bytes of a
-// request body (413 past it) and of an assignment's response.
+// request body (413 past it) and of an assignment's response; a worker reads
+// at most maxAssignBody bytes of an assignment.
 //
 // Coordinator routes (mounted under /cluster/v2/ on the public listener):
 //
@@ -77,6 +79,11 @@ type HeartbeatResponse struct {
 	// epoch) when the heartbeat was handled.
 	NowUS int64 `json:"now_us"`
 }
+
+// maxAssignBody bounds an assignment's body: the spec, whose campaign
+// document the public routes cap at durable.MaxPayload, a warm payload of up
+// to durable.MaxPayload, and the envelope around them.
+const maxAssignBody = 2*durable.MaxPayload + 64<<10
 
 // AssignRequest hands one cell of a job to a worker. The worker replans the
 // spec deterministically and runs cell index Cell; it does not need the

@@ -321,8 +321,7 @@ func (w *Worker) handleAssign(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AssignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(rw, http.StatusBadRequest, "bad assignment: %v", err)
+	if !decodeBody(rw, r, &req, "assignment", maxAssignBody) {
 		return
 	}
 	// The coordinator bounds inflight through its slot accounting; this is

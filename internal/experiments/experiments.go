@@ -63,8 +63,8 @@ func (c Config) repeats() int {
 	return 3
 }
 
-// Policy names accepted by NewPolicy, in the order the paper's tables list
-// them.
+// Policy names of the paper's tables, in the order they list them; the
+// policy registry resolves each.
 const (
 	PolicyLinuxOndemand  = "linux-ondemand"
 	PolicyLinuxPowersave = "linux-powersave"
@@ -76,26 +76,11 @@ const (
 	PolicyProposed       = "proposed"
 )
 
-// NewPolicy builds a fresh policy instance by name from the policy registry
-// (which holds the table policies above plus the zoo's additional learners).
-// Policies are stateful, so a new instance is required per run.
-func NewPolicy(name string) (sim.Policy, error) {
-	return policy.New(name, policy.Options{})
-}
-
 // newPolicy builds the policy for one run from the registry, with the
 // config's RL base seed and warm-start checkpoint as its options (the
 // deterministic baselines ignore both).
 func newPolicy(cfg Config, name string) (sim.Policy, error) {
 	return policy.New(name, policy.Options{Seed: cfg.Seed, Checkpoint: cfg.Warm})
-}
-
-// PolicyFor is the exported form of newPolicy: a fresh policy instance for
-// one run with the config's RL seed and warm-start state threaded through.
-// The job service's tests and custom planners use it to run cells that
-// honor a warm_start submission.
-func PolicyFor(cfg Config, name string) (sim.Policy, error) {
-	return newPolicy(cfg, name)
 }
 
 // agentSeed resolves the base RL seed for runners that construct the

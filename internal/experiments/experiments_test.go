@@ -23,7 +23,7 @@ func TestNewPolicyKnownNames(t *testing.T) {
 		PolicyLinuxOndemand, PolicyLinuxPowersave, PolicyLinux24,
 		PolicyLinux34, PolicyGe, PolicyGeModified, PolicyProposed,
 	} {
-		p, err := NewPolicy(name)
+		p, err := newPolicy(Config{}, name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -32,7 +32,7 @@ func TestNewPolicyKnownNames(t *testing.T) {
 			t.Errorf("%s resolved to %q", name, p.Name())
 		}
 	}
-	if _, err := NewPolicy("turbo"); err == nil {
+	if _, err := newPolicy(Config{}, "turbo"); err == nil {
 		t.Error("expected error for unknown policy")
 	}
 }
@@ -51,7 +51,7 @@ func TestScenarioApps(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run(quickCfg(), "fig99"); err == nil {
+	if _, err := RunCtx(context.Background(), quickCfg(), "fig99"); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }
@@ -61,7 +61,7 @@ func TestExperimentNamesResolve(t *testing.T) {
 	// This is the repository's end-to-end smoke test.
 	cfg := quickCfg()
 	for _, id := range ExperimentNames() {
-		out, err := Run(cfg, id)
+		out, err := RunCtx(context.Background(), cfg, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -134,7 +134,7 @@ func TestFig3Shapes(t *testing.T) {
 	}
 	// The proposed controller beats Linux on inter-application cycling in
 	// these scenarios.
-	for _, sc := range Fig3Scenarios()[:2] {
+	for _, sc := range fig3Scenarios[:2] {
 		pr := byKey[sc+"/"+PolicyProposed]
 		if pr.Normalized <= 1 {
 			t.Errorf("%s: proposed normalized MTTF %.2f, want > 1", sc, pr.Normalized)
@@ -386,7 +386,7 @@ func TestManycoreMappingsDegenerateGrids(t *testing.T) {
 func TestRunRowsMatchesNames(t *testing.T) {
 	cfg := quickCfg()
 	for _, id := range ExperimentNames() {
-		rows, err := RunRows(cfg, id)
+		rows, err := RunRowsCtx(context.Background(), cfg, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -394,7 +394,7 @@ func TestRunRowsMatchesNames(t *testing.T) {
 			t.Errorf("%s returned nil rows", id)
 		}
 	}
-	if _, err := RunRows(cfg, "nope"); err == nil {
+	if _, err := RunRowsCtx(context.Background(), cfg, "nope"); err == nil {
 		t.Error("expected error for unknown id")
 	}
 }
@@ -599,7 +599,7 @@ func TestCellsMatchSequentialRunners(t *testing.T) {
 	for _, id := range ExperimentNames() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			seq, err := RunRows(cfg, id)
+			seq, err := RunRowsCtx(ctx, cfg, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -634,7 +634,7 @@ func TestCellsMatchSequentialRunners(t *testing.T) {
 				}
 			}
 			if got := assemble(outs); !reflect.DeepEqual(got, seq) {
-				t.Errorf("cells assembled in order differ from RunRows:\n%+v\n%+v", got, seq)
+				t.Errorf("cells assembled in order differ from RunRowsCtx:\n%+v\n%+v", got, seq)
 			}
 		})
 	}

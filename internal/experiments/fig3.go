@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -32,9 +33,6 @@ var fig3Scenarios = []string{
 	"mpegdec-tachyon-mpegenc",
 	"tachyon-mpegenc-mpegdec",
 }
-
-// Fig3Scenarios exposes the scenario list (for the CLI and docs).
-func Fig3Scenarios() []string { return append([]string(nil), fig3Scenarios...) }
 
 // Fig3 reproduces the inter-application evaluation: thermal-cycling MTTF of
 // {Linux ondemand, modified Ge et al. [7], Proposed} on six application
@@ -110,7 +108,7 @@ func fig3Policy(name string, rep int) (sim.Policy, error) {
 		b.Agent.Seed = seed
 		return &sim.GePolicy{Config: &b, Modified: true}, nil
 	default:
-		return NewPolicy(name)
+		return policy.New(name, policy.Options{})
 	}
 }
 

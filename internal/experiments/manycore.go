@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/governor"
+	"repro/internal/policy"
 	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -93,7 +94,7 @@ func Manycore(cfg Config) ([]ManycoreRow, error) {
 				ctl.Agent = rl.DefaultAgentConfig(ctl.States.NumStates(), len(ctl.Actions))
 				pol = &sim.ProposedPolicy{Config: &ctl}
 			} else {
-				p, err := NewPolicy(polName)
+				p, err := policy.New(polName, policy.Options{})
 				if err != nil {
 					return nil, err
 				}

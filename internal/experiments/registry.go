@@ -110,13 +110,6 @@ func Cells(cfg Config, id string) ([]Cell, Assemble, error) {
 	return e.cells(cfg), e.assemble, nil
 }
 
-// Run executes an experiment by id and returns its formatted report.
-// Sequential callers that never cancel use this wrapper; long-running
-// callers pass a cancellable context to RunCtx instead.
-func Run(cfg Config, id string) (string, error) {
-	return RunCtx(context.Background(), cfg, id)
-}
-
 // RunCtx executes an experiment by id under ctx through RunCells and
 // returns its formatted report.
 func RunCtx(ctx context.Context, cfg Config, id string) (string, error) {
@@ -131,15 +124,10 @@ func RunCtx(ctx context.Context, cfg Config, id string) (string, error) {
 	return e.format(rows), nil
 }
 
-// RunRows executes an experiment by id and returns its typed row data (for
-// machine-readable output); Table 3 and Fig. 9 share the PerfEnergyGrid rows.
-func RunRows(cfg Config, id string) (any, error) {
-	return RunRowsCtx(context.Background(), cfg, id)
-}
-
-// RunRowsCtx is RunRows under a cancellable context: the experiment's cells
-// run through RunCells, so a failing cell leaves the surviving rows next to
-// the joined errors.
+// RunRowsCtx executes an experiment by id under ctx and returns its typed
+// row data (for machine-readable output); Table 3 and Fig. 9 share the
+// PerfEnergyGrid rows. The experiment's cells run through RunCells, so a
+// failing cell leaves the surviving rows next to the joined errors.
 func RunRowsCtx(ctx context.Context, cfg Config, id string) (any, error) {
 	cells, assemble, err := Cells(cfg, id)
 	if err != nil {

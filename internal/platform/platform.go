@@ -30,40 +30,10 @@ type Counters struct {
 	PageFaults  int64
 }
 
-// SolverKind selects the thermal integrator driving the platform.
-type SolverKind int
-
-const (
-	// SolverFixed is the default: the precomputed constant-dt implicit
-	// stepper (thermal.FixedStepper). The platform always steps the network
-	// by the fixed TickS, so the whole update collapses to two dense matvecs
-	// with zero per-step allocation — the fast path for long campaigns.
-	SolverFixed SolverKind = iota
-	// SolverImplicit is the backward-Euler reference (LU solve per step);
-	// SolverFixed matches it to rounding error at the same TickS.
-	SolverImplicit
-)
-
-// String returns the solver name.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverFixed:
-		return "fixed"
-	case SolverImplicit:
-		return "implicit"
-	default:
-		return fmt.Sprintf("SolverKind(%d)", int(k))
-	}
-}
-
 // Config parameterizes the simulated platform.
 type Config struct {
 	// TickS is the simulation time step in seconds.
 	TickS float64
-	// Solver selects the thermal integrator; the zero value is the
-	// precomputed constant-dt fast path (SolverFixed). The backward-Euler
-	// reference (SolverImplicit) remains available for validation runs.
-	Solver SolverKind
 	// Floorplan configures the thermal network.
 	Floorplan thermal.FloorplanConfig
 	// GridRows and GridCols select the core-grid dimensions; zero means
@@ -193,7 +163,7 @@ func New(cfg Config, work workload.Workload) *Platform {
 // NewWithStepper builds a platform like New but driven by an externally
 // constructed thermal stepper — for example one wrapped to time or count its
 // steps. The stepper must be sized for the configured floorplan and accept
-// steps of cfg.TickS; cfg.Solver is ignored.
+// steps of cfg.TickS.
 func NewWithStepper(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 	if st == nil {
 		panic("platform: NewWithStepper: nil stepper")
@@ -227,7 +197,13 @@ func build(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 		panic(fmt.Sprintf("platform: scheduler cores %d != floorplan cores %d", cfg.Sched.NumCores, n))
 	}
 	if st == nil {
-		st = newStepper(cfg, fp.Net)
+		// The constant-dt implicit stepper, precomputed for the one step size
+		// Step ever uses; it matches thermal.ImplicitSolver to rounding error.
+		fs, err := thermal.NewFixedStepper(fp.Net, cfg.TickS)
+		if err != nil {
+			panic(fmt.Sprintf("platform: %v", err)) // TickS validated above; floorplans are never singular
+		}
+		st = fs
 	} else if got := len(st.Temperatures()); got != fp.Net.NumNodes() {
 		panic(fmt.Sprintf("platform: external stepper has %d nodes, floorplan needs %d", got, fp.Net.NumNodes()))
 	}
@@ -277,19 +253,6 @@ func build(cfg Config, work workload.Workload, st thermal.Stepper) *Platform {
 	p.SetGovernorAll(governor.Ondemand, 0)
 	p.installThreads()
 	return p
-}
-
-// newStepper builds the configured thermal integrator. The fixed stepper is
-// precomputed for the platform tick, the only step size Step ever uses.
-func newStepper(cfg Config, net *thermal.Network) thermal.Stepper {
-	if cfg.Solver == SolverImplicit {
-		return thermal.NewImplicitSolver(net)
-	}
-	s, err := thermal.NewFixedStepper(net, cfg.TickS)
-	if err != nil {
-		panic(fmt.Sprintf("platform: %v", err)) // TickS validated above; floorplans are never singular
-	}
-	return s
 }
 
 // NumCores returns the core count.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -488,11 +489,12 @@ func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 	}
 
 	// The planner runs one real RL-controlled simulation, building its
-	// policy through PolicyFor so the resolved warm-start table applies.
+	// policy with the config's seed and checkpoint so the resolved
+	// warm-start table applies.
 	pool.plan = func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
 		run := cfg.Run
 		cell := experiments.Cell{Key: "rl", Run: func(context.Context) (any, error) {
-			pol, err := experiments.PolicyFor(cfg, experiments.PolicyProposed)
+			pol, err := policy.New(experiments.PolicyProposed, policy.Options{Seed: cfg.Seed, Checkpoint: cfg.Warm})
 			if err != nil {
 				return nil, err
 			}

@@ -172,11 +172,6 @@ func (p *Pool) SetMaxQueuedCells(n int) { p.maxQueuedCells = int64(n) }
 // metrics; the HTTP layer adds its request metrics to the same registry).
 func (p *Pool) Registry() *telemetry.Registry { return p.reg }
 
-// JobTracer returns the live span tracer of job id (false once the job has
-// been evicted). The cluster coordinator uses it to merge span batches that
-// arrive detached from any active lease (flushes from drained workers).
-func (p *Pool) JobTracer(id string) (*telemetry.Tracer, bool) { return p.store.Tracer(id) }
-
 // Start launches the workers.
 func (p *Pool) Start() {
 	for i := 0; i < p.workers; i++ {
@@ -535,7 +530,3 @@ func (p *Pool) JobsSubmitted() int64 { return p.jobsSubmitted.Load() }
 // JobsRejected is the lifetime count of submissions refused by admission
 // control.
 func (p *Pool) JobsRejected() int64 { return p.jobsRejected.Load() }
-
-// QueuedCells is the number of runs accepted but not yet picked up: one
-// per queued cell, except cells sharing another cell's run.
-func (p *Pool) QueuedCells() int64 { return p.queued.Load() }

@@ -171,12 +171,13 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// ReadBody reads r's body, at most durable.MaxPayload bytes of it. On a read
-// error it answers with the JSON error envelope and returns false: 413 past
-// the bound, 400 for any other error (a client that hung up mid-body). Every
-// route that takes a body reads it here, the cluster's included.
-func ReadBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, durable.MaxPayload))
+// ReadBody reads r's body, at most limit bytes of it; the public routes pass
+// durable.MaxPayload. On a read error it answers with the JSON error envelope
+// and returns false: 413 past the bound, 400 for any other error (a client
+// that hung up mid-body). Every route that takes a body reads it here, the
+// cluster's included.
+func ReadBody(w http.ResponseWriter, r *http.Request, what string, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
@@ -189,7 +190,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r, "spec")
+	body, ok := ReadBody(w, r, "spec", durable.MaxPayload)
 	if !ok {
 		return
 	}
@@ -209,7 +210,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // any) is carried onto the job spec so the pool resolves it like any other
 // warm start.
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := ReadBody(w, r, "campaign document")
+	body, ok := ReadBody(w, r, "campaign document", durable.MaxPayload)
 	if !ok {
 		return
 	}
@@ -437,7 +438,7 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	if cs == nil {
 		return
 	}
-	payload, ok := ReadBody(w, r, "checkpoint payload")
+	payload, ok := ReadBody(w, r, "checkpoint payload", durable.MaxPayload)
 	if !ok {
 		return
 	}

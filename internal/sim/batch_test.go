@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/governor"
-	"repro/internal/platform"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -99,20 +98,13 @@ func TestRunBatchBitIdentical(t *testing.T) {
 }
 
 // TestRunBatchMixedConfigs puts three thermal configurations (quad-core,
-// 3x3 grid, 4x4 grid) plus an implicit-solver run in one RunBatch call:
-// every run must still be bit-identical to Run.
+// 3x3 grid, 4x4 grid) in one RunBatch call: every run must still be
+// bit-identical to Run.
 func TestRunBatchMixedConfigs(t *testing.T) {
-	implicitCase := batchCase{name: "implicit-fallback", mk: func() (RunConfig, workload.Workload, Policy) {
-		cfg := DefaultRunConfig()
-		cfg.Platform.Solver = platform.SolverImplicit
-		cfg.DiscardTrace = true
-		return cfg, lightApp(), LinuxPolicy{Kind: governor.Ondemand}
-	}}
 	cases := []batchCase{
 		quadCase("quad-a", 11, func() Policy { return LinuxPolicy{Kind: governor.Ondemand} }, true),
 		gridCase("grid3x3-a", 3, 3, 12),
 		gridCase("grid4x4", 4, 4, 13),
-		implicitCase,
 		gridCase("grid3x3-b", 3, 3, 14),
 		quadCase("quad-b", 15, func() Policy { return &ProposedPolicy{} }, true),
 	}

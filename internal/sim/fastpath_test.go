@@ -28,11 +28,20 @@ func manycoreApp(threads int) *workload.Application {
 	return workload.NewApplication("golden16", ths, 0)
 }
 
+// implicitPlatform builds the platform platform.New would, but driven by the
+// backward-Euler reference thermal.ImplicitSolver instead of the precomputed
+// FixedStepper.
+func implicitPlatform(cfg platform.Config, work workload.Workload) *platform.Platform {
+	rows, cols := platform.GridDims(cfg)
+	fp := thermal.GridFloorplan(rows, cols, cfg.Floorplan)
+	return platform.NewWithStepper(cfg, work, thermal.NewImplicitSolver(fp.Net))
+}
+
 // TestGoldenFixedMatchesImplicit runs the same full simulation under the
 // precomputed FixedStepper and under the reference ImplicitSolver and
 // requires every temperature sample of every core to agree within 1e-6 C,
 // for both the paper's quad-core and a 16-core grid. This is the
-// whole-system guarantee that selecting the fast solver does not change
+// whole-system guarantee that the fast integrator does not change
 // experiment outputs.
 func TestGoldenFixedMatchesImplicit(t *testing.T) {
 	cases := []struct {
@@ -45,21 +54,20 @@ func TestGoldenFixedMatchesImplicit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(kind platform.SolverKind) *Result {
+			runOn := func(newPlatform func(platform.Config, workload.Workload) *platform.Platform) *Result {
 				cfg := DefaultRunConfig()
-				cfg.Platform.Solver = kind
 				if tc.rows > 0 {
 					cfg.Platform.GridRows, cfg.Platform.GridCols = tc.rows, tc.cols
 					cfg.Platform.Sched.NumCores = tc.rows * tc.cols
 				}
-				res, err := Run(cfg, tc.app(), LinuxPolicy{Kind: governor.Ondemand})
+				res, err := run(cfg, tc.app(), LinuxPolicy{Kind: governor.Ondemand}, newPlatform)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			fixed := run(platform.SolverFixed)
-			ref := run(platform.SolverImplicit)
+			fixed := runOn(platform.New)
+			ref := runOn(implicitPlatform)
 			if fixed.Trace.Len() != ref.Trace.Len() {
 				t.Fatalf("trace lengths differ: fixed %d vs implicit %d", fixed.Trace.Len(), ref.Trace.Len())
 			}

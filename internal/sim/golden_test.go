@@ -80,8 +80,11 @@ func TestGoldenTickDigests(t *testing.T) {
 		name   string
 		want   string
 		config func(*RunConfig)
-		work   func() workload.Workload
-		policy func() Policy
+		// implicit runs the platform on the backward-Euler reference
+		// integrator (implicitPlatform) instead of platform.New's.
+		implicit bool
+		work     func() workload.Workload
+		policy   func() Policy
 	}{
 		{
 			name: "sequence-proposed",
@@ -157,13 +160,11 @@ func TestGoldenTickDigests(t *testing.T) {
 			},
 		},
 		{
-			name: "implicit-solver",
-			want: "e9987c74c371855ab4b8cd079fde324c42007a2c0d863509a2d3317e83ae1aa2",
-			config: func(c *RunConfig) {
-				c.Platform.Solver = platform.SolverImplicit
-			},
-			work:   func() workload.Workload { return goldenApp(workload.FaceRecSpec(workload.Set2), 20) },
-			policy: func() Policy { return &ProposedPolicy{} },
+			name:     "implicit-solver",
+			want:     "e9987c74c371855ab4b8cd079fde324c42007a2c0d863509a2d3317e83ae1aa2",
+			implicit: true,
+			work:     func() workload.Workload { return goldenApp(workload.FaceRecSpec(workload.Set2), 20) },
+			policy:   func() Policy { return &ProposedPolicy{} },
 		},
 		{
 			name: "zero-sync-chain",
@@ -183,7 +184,11 @@ func TestGoldenTickDigests(t *testing.T) {
 			if tc.config != nil {
 				tc.config(&cfg)
 			}
-			res, err := Run(cfg, tc.work(), tc.policy())
+			newPlatform := platform.New
+			if tc.implicit {
+				newPlatform = implicitPlatform
+			}
+			res, err := run(cfg, tc.work(), tc.policy(), newPlatform)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -155,7 +155,13 @@ type LearningAttacher interface {
 // Run executes the workload under the policy until completion (or MaxSimS)
 // and returns the collected metrics.
 func Run(cfg RunConfig, work workload.Workload, policy Policy) (*Result, error) {
-	r, err := newRun(cfg, work, policy)
+	return run(cfg, work, policy, platform.New)
+}
+
+// run is Run on the platform newPlatform builds. Tests pass a constructor
+// that drives the platform with the reference thermal integrator.
+func run(cfg RunConfig, work workload.Workload, policy Policy, newPlatform func(platform.Config, workload.Workload) *platform.Platform) (*Result, error) {
+	r, err := newRun(cfg, work, policy, newPlatform)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +195,7 @@ type runState struct {
 
 // newRun performs everything Run does before its step loop: platform
 // construction, policy attachment, observability arming and collector setup.
-func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, error) {
+func newRun(cfg RunConfig, work workload.Workload, policy Policy, newPlatform func(platform.Config, workload.Workload) *platform.Platform) (*runState, error) {
 	if cfg.RecordIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: RecordIntervalS must be positive, got %g", cfg.RecordIntervalS)
 	}
@@ -201,7 +207,7 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy) (*runState, er
 			telemetry.Str("policy", policy.Name()),
 			telemetry.Str("workload", work.Name()))
 	}
-	r.p = platform.New(cfg.Platform, work)
+	r.p = newPlatform(cfg.Platform, work)
 	if err := policy.Attach(r.p); err != nil {
 		return nil, r.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}

@@ -110,9 +110,6 @@ func NewFixedStepper(net *Network, dt float64) (*FixedStepper, error) {
 	return s, nil
 }
 
-// Dt returns the fixed step size the update was precomputed for.
-func (s *FixedStepper) Dt() float64 { return s.dt }
-
 // Reset sets every node back to ambient.
 func (s *FixedStepper) Reset() {
 	for i := range s.temps {
