@@ -56,8 +56,8 @@ stress:
 # minimized for at most a second, so a fresh fuzz cache does not spend the
 # smoke's time minimizing. A crasher lands in the package's testdata/fuzz/
 # and becomes a corpus entry.
-FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics FuzzParseSpec
-FUZZ_PKGS = ./internal/cluster ./internal/campaign
+FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics FuzzParseSpec FuzzDecodeCheckpoint
+FUZZ_PKGS = ./internal/cluster ./internal/campaign ./internal/policy
 FUZZ_RUN = ^($(subst $(space),|,$(strip $(FUZZ_TARGETS))))$$
 fuzz-smoke:
 	@found=$$($(GO) test -list '$(FUZZ_RUN)' $(FUZZ_PKGS) | grep -c '^Fuzz'); \

@@ -12,9 +12,10 @@
 // (scalability) studies. -json emits machine-readable rows.
 //
 // -events FILE dumps the RL controller's decision trace (one JSON event per
-// epoch: state bin, action, reward, q_reset/snapshot_restore markers) to
-// FILE after the experiments finish; "-" writes to stderr so it composes
-// with -json on stdout. -log-level debug logs every decision epoch live.
+// epoch: state bin, action, reward, q_reset/snapshot_restore markers), read
+// off the span trace's epoch spans, to FILE after the experiments finish;
+// "-" writes to stderr so it composes with -json on stdout. -log-level debug
+// logs every decision epoch live.
 //
 // -trace FILE dumps the hierarchical span trace (run → window/epoch spans
 // with per-core thermal and RL attributes) after the experiments finish. A
@@ -153,13 +154,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.Quick = *quick
 	cfg.Repeats = *repeats
 
-	var recorder *telemetry.Recorder
-	if *eventsOut != "" {
-		recorder = telemetry.NewRecorder(0)
-		cfg.Run.Recorder = recorder
-	}
+	// -events and -trace both read the one span trace.
 	var tracer *telemetry.Tracer
-	if *traceOut != "" {
+	if *eventsOut != "" || *traceOut != "" {
 		tracer = telemetry.NewTracer(0)
 		cfg.Run.Tracer = tracer
 	}
@@ -207,11 +204,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := dumpEvents(recorder, *eventsOut, stderr); err != nil {
+	spans := tracer.Snapshot()
+	if err := dumpEvents(spans, *eventsOut, stderr); err != nil {
 		return fmt.Errorf("events: %w", err)
 	}
-	if err := dumpTrace(tracer, *traceOut, stderr); err != nil {
+	if err := dumpTrace(spans, *traceOut); err != nil {
 		return fmt.Errorf("trace: %w", err)
+	}
+	if n := tracer.Dropped(); n > 0 {
+		fmt.Fprintf(stderr, "thermsim: -events/-trace: span ring dropped the oldest %d spans (kept %d)\n", n, tracer.Len())
 	}
 	if curves != nil {
 		if err := writeFile(*learningCSV, curves.WriteCSV); err != nil {
@@ -320,44 +321,29 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// dumpEvents writes the recorded decision trace as JSONL to path ("-" means
-// stderr, keeping stdout clean for -json rows).
-func dumpEvents(rec *telemetry.Recorder, path string, stderr io.Writer) error {
-	if rec == nil {
+// dumpEvents writes the decision trace read off spans' epoch spans as JSONL
+// to path ("-" means stderr, keeping stdout clean for -json rows).
+func dumpEvents(spans []telemetry.Span, path string, stderr io.Writer) error {
+	write := func(w io.Writer) error { return telemetry.WriteEventsJSONL(w, telemetry.DecisionEvents(spans)) }
+	switch path {
+	case "":
 		return nil
+	case "-":
+		return write(stderr)
 	}
-	var err error
-	if path == "-" {
-		err = rec.WriteJSONL(stderr)
-	} else {
-		err = writeFile(path, rec.WriteJSONL)
-	}
-	if err != nil {
-		return err
-	}
-	if n := rec.Dropped(); n > 0 {
-		fmt.Fprintf(stderr, "thermsim: events: ring buffer dropped the oldest %d events (kept %d)\n", n, rec.Len())
-	}
-	return nil
+	return writeFile(path, write)
 }
 
 // dumpTrace writes the collected span trace to path: a .jsonl suffix selects
 // the archival one-span-per-line form, anything else the Chrome trace-event
 // JSON that chrome://tracing and Perfetto open directly.
-func dumpTrace(tr *telemetry.Tracer, path string, stderr io.Writer) error {
-	if tr == nil {
+func dumpTrace(spans []telemetry.Span, path string) error {
+	if path == "" {
 		return nil
 	}
-	spans := tr.Snapshot()
 	write := func(w io.Writer) error { return telemetry.WriteChromeTrace(w, spans) }
 	if strings.HasSuffix(path, ".jsonl") {
 		write = func(w io.Writer) error { return telemetry.WriteSpansJSONL(w, spans) }
 	}
-	if err := writeFile(path, write); err != nil {
-		return err
-	}
-	if n := tr.Dropped(); n > 0 {
-		fmt.Fprintf(stderr, "thermsim: trace: span ring dropped the oldest %d spans (kept %d)\n", n, tr.Len())
-	}
-	return nil
+	return writeFile(path, write)
 }

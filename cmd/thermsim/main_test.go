@@ -5,15 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/golden"
 	"repro/internal/policy"
+	"repro/internal/service"
 )
 
 // TestJSONSuiteMatchesSequential: `-quick -json suite` prints exactly the
@@ -92,6 +96,36 @@ func TestCampaignLeaderboardCSVMatchesSequential(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("leaderboard CSV differs from the sequential rows':\n%s\n%s", got, want.Bytes())
 	}
+}
+
+// TestPooledEventsMatchCLI: a one-worker pool runs the example tournament's
+// runs in plan order, as -campaign does, so the job's /events body — read
+// off its trace's epoch spans — hashes to the pin of the CLI's -events
+// output.
+func TestPooledEventsMatchCLI(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "examples", "tournament", "experiments.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := service.NewStore(0)
+	pool := service.NewPool(store, 1)
+	pool.Start()
+	t.Cleanup(pool.Stop)
+	job, err := pool.Submit(service.Spec{Experiment: campaign.Experiment, Campaign: doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	if final, err := pool.Wait(ctx, job.ID); err != nil || final.State != service.StateDone {
+		t.Fatalf("job finished %s (%v): %s", final.State, err, final.Error)
+	}
+	rec := httptest.NewRecorder()
+	service.NewServer(store, pool).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("events: status %d: %s", rec.Code, rec.Body)
+	}
+	golden.Open(t, filepath.Join("testdata", "digests.json")).Check(t, "tournament/events", rec.Body.Bytes())
 }
 
 // TestCampaignSaveAgentRoundTrip: -save-agent after a -campaign run writes

@@ -20,8 +20,8 @@ func simSteps() int64 {
 // BenchmarkTournamentCells is the campaign-cell rung of the benchmark
 // ladder: one op plans the example tournament and runs its cells
 // sequentially with a job's observation armed the way the service pool
-// arms it (a decision recorder, a span tracer with one cell span per run,
-// and a learning-curve observer). A cell that shares another cell's run
+// arms it (a span tracer with one cell span per run, whose epoch spans carry
+// the decision events, and a learning-curve observer). A cell that shares another cell's run
 // takes its row from that run, as both executors do. It reports the time
 // per planned cell, which moves with perfbench's cpu_ms_per_cell, and per
 // platform tick.
@@ -35,7 +35,6 @@ func BenchmarkTournamentCells(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultConfig()
 		cfg.CampaignJSON = doc
-		cfg.Run.Recorder = telemetry.NewRecorder(0)
 		curves := rl.NewCurveSet()
 		cfg.Run.LearningObserver = func(c rl.RunCurve, _ sim.Policy) { curves.Add(c) }
 		tracer := telemetry.NewTracer(0)

@@ -166,24 +166,30 @@ func prepareCell(cfg experiments.Config, spec *Spec, c cellPlan) (sim.BatchRun, 
 	return sim.BatchRun{Cfg: rc, Work: work, Policy: pol}, finish, nil
 }
 
-// parseWorkload resolves a spec workload name: a single application or a
-// "-"-joined application sequence.
-func parseWorkload(name string, ds workload.DataSet) (workload.Workload, error) {
-	parts := strings.Split(name, "-")
-	if len(parts) == 1 {
-		app, err := workload.ByName(name, ds)
-		if err != nil {
-			return nil, &UnknownWorkloadError{Workload: name, Err: err}
+// checkWorkload resolves a spec workload name, a single application or a
+// "-"-joined application sequence, without generating any application.
+func checkWorkload(name string, ds workload.DataSet) error {
+	for _, p := range strings.Split(name, "-") {
+		if _, err := workload.SpecByName(p, ds); err != nil {
+			return &UnknownWorkloadError{Workload: name, Err: err}
 		}
-		return app, nil
 	}
-	apps := make([]*workload.Application, 0, len(parts))
-	for _, p := range parts {
-		app, err := workload.ByName(p, ds)
-		if err != nil {
-			return nil, &UnknownWorkloadError{Workload: name, Err: err}
-		}
-		apps = append(apps, app)
+	return nil
+}
+
+// parseWorkload generates a spec workload, a single application or a
+// "-"-joined application sequence, for a cell about to run it.
+func parseWorkload(name string, ds workload.DataSet) (workload.Workload, error) {
+	if err := checkWorkload(name, ds); err != nil {
+		return nil, err
+	}
+	parts := strings.Split(name, "-")
+	apps := make([]*workload.Application, len(parts))
+	for i, p := range parts {
+		apps[i], _ = workload.ByName(p, ds) // resolved by checkWorkload
+	}
+	if len(apps) == 1 {
+		return apps[0], nil
 	}
 	return workload.NewSequence(apps...), nil
 }

@@ -131,7 +131,7 @@ func (s *Spec) Validate() error {
 	}
 	seenWorkload := map[string]bool{}
 	for _, w := range s.Workloads {
-		if _, err := parseWorkload(w, s.dataSet()); err != nil {
+		if err := checkWorkload(w, s.dataSet()); err != nil {
 			return err
 		}
 		if seenWorkload[w] {

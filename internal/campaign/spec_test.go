@@ -193,6 +193,20 @@ func TestAgentSeedDecorrelates(t *testing.T) {
 	}
 }
 
+// TestParseSpecLongSequenceAllocs: validating a workload name resolves each
+// "-"-joined part without generating its application, so a 1,000-part
+// sequence costs a handful of allocations rather than one application per
+// part.
+func TestParseSpecLongSequenceAllocs(t *testing.T) {
+	doc := []byte(`{"policies":["proposed"],"workloads":["` + strings.Repeat("tachyon-", 999) + `tachyon"]}`)
+	if _, err := ParseSpec(doc); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { ParseSpec(doc) }); allocs >= 100 { //nolint:errcheck // parsed above
+		t.Errorf("ParseSpec of a 1,000-part sequence allocates %.0f times, want fewer than 100", allocs)
+	}
+}
+
 // FuzzParseSpec holds ParseSpec to its contract on arbitrary documents: it
 // never panics, every rejection is a typed or wrapped error, and an accepted
 // spec plans exactly the cell count Validate bounded. The seed corpus in

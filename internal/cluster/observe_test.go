@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +150,53 @@ func TestClusterMergedTrace(t *testing.T) {
 	}
 	if got := tc.metric("thermserved_cluster_spans_imported_total"); got < float64(2*cells) {
 		t.Fatalf("spans_imported_total = %v, want >= %d", got, 2*cells)
+	}
+}
+
+// TestClusterEventsMatchStandalone: a cluster job's decision trace is read
+// off the epoch spans its workers ship back with each cell, so /events on
+// the coordinator serves the events a standalone pool serves for the same
+// experiment. Cells finish in any order on either side, so the lines
+// compare sorted.
+func TestClusterEventsMatchStandalone(t *testing.T) {
+	spec := service.Spec{Experiment: "table2", Quick: true}
+	events := func(store *service.Store, pool *service.Pool, id string) []string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		service.NewServer(store, pool).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("events: status %d: %s", rec.Code, rec.Body)
+		}
+		lines := strings.FieldsFunc(rec.Body.String(), func(r rune) bool { return r == '\n' })
+		sort.Strings(lines)
+		return lines
+	}
+
+	store := service.NewStore(0)
+	pool := service.NewPool(store, 2)
+	pool.Start()
+	t.Cleanup(pool.Stop)
+	job, err := pool.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if final, err := pool.Wait(ctx, job.ID); err != nil || final.State != service.StateDone {
+		t.Fatalf("standalone job finished %s (%v): %s", final.State, err, final.Error)
+	}
+	want := events(store, pool, job.ID)
+
+	tc := startTestCluster(t, testClusterConfig(), nil)
+	tc.addWorker(2, nil)
+	tc.addWorker(2, nil)
+	final := tc.submitAndWait(spec, time.Minute)
+	if final.State != service.StateDone {
+		t.Fatalf("cluster job finished %s: %s", final.State, final.Error)
+	}
+	got := events(tc.store, tc.pool, final.ID)
+	if len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("cluster /events serves %d lines, standalone %d; want the same events", len(got), len(want))
 	}
 }
 

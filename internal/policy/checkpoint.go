@@ -3,6 +3,7 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/rl"
@@ -44,27 +45,31 @@ func (c *Checkpoint) AgentFor(kind string, numStates, numActions int) (*rl.Saved
 	return c.Agent, nil
 }
 
+// ErrInvalidCheckpoint is wrapped by every error DecodeCheckpoint returns.
+var ErrInvalidCheckpoint = errors.New("policy: invalid checkpoint")
+
 // DecodeCheckpoint parses a checkpoint payload of any registered kind. The
 // payload's policy_kind tag routes decoding: distilled payloads carry a
 // decision table, everything else is rl.Agent state (an empty tag is the
-// historical proposed-controller format).
+// historical proposed-controller format). Every rejection wraps
+// ErrInvalidCheckpoint.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var probe struct {
 		Kind string `json:"policy_kind"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("policy: decode checkpoint: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidCheckpoint, err)
 	}
 	if probe.Kind == KindDistilled {
 		t, err := decodeDecisionTable(data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrInvalidCheckpoint, err)
 		}
 		return &Checkpoint{Kind: KindDistilled, Table: t}, nil
 	}
 	sa, err := rl.DecodeAgent(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidCheckpoint, err)
 	}
 	return &Checkpoint{Kind: sa.Kind, Agent: sa}, nil
 }

@@ -250,8 +250,8 @@ func TestDistilledTeacherAgreement(t *testing.T) {
 	}
 	rc := sim.DefaultRunConfig()
 	rc.DiscardTrace = true
-	rec := telemetry.NewRecorder(0)
-	rc.Recorder = rec
+	tr := telemetry.NewTracer(0)
+	rc.Tracer = tr
 	work, err := workload.ByName("tachyon", workload.Set1)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestDistilledTeacherAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	agree, total := 0, 0
-	for _, ev := range rec.Events() {
+	for _, ev := range telemetry.DecisionEvents(tr.Snapshot()) {
 		if ev.Kind != telemetry.EventDecision {
 			continue
 		}

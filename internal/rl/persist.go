@@ -27,7 +27,9 @@ func (t *QTable) UnmarshalJSON(data []byte) error {
 	if tj.States <= 0 || tj.Actions <= 0 {
 		return fmt.Errorf("rl: unmarshal q-table: invalid dimensions %dx%d", tj.States, tj.Actions)
 	}
-	if len(tj.Q) != tj.States*tj.Actions {
+	// Dividing instead of multiplying: States*Actions can overflow to the
+	// length of a short (even empty) value list.
+	if len(tj.Q)%tj.Actions != 0 || len(tj.Q)/tj.Actions != tj.States {
 		return fmt.Errorf("rl: unmarshal q-table: %d values for %dx%d table", len(tj.Q), tj.States, tj.Actions)
 	}
 	t.numStates = tj.States

@@ -11,25 +11,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// defaultLivePoll is how often the live stream drains new decision events;
-// tests shorten it to keep streaming assertions fast.
+// defaultLivePoll is how often the live stream drains the job's new epoch
+// spans; tests shorten it to keep streaming assertions fast.
 const defaultLivePoll = 250 * time.Millisecond
 
 // handleLive streams the job's RL decision epochs over Server-Sent Events:
-// one "epoch" event per decision (data = the DecisionEvent JSON), then one
-// "done" event carrying the final job snapshot when the job reaches a
-// terminal state. Clients that lag behind the bounded event ring skip the
-// overwritten epochs; disconnecting clients cost nothing beyond their own
-// request goroutine, which exits on the next poll.
+// one "epoch" event per epoch span its live tracer commits (data = the
+// DecisionEvent JSON), then one "done" event carrying the final job snapshot
+// when the job reaches a terminal state. Clients that lag behind the bounded
+// span ring skip the overwritten epochs; disconnecting clients cost nothing
+// beyond their own request goroutine, which exits on the next poll.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rec, ok := s.store.EventsRecorder(id)
+	tracer, ok := s.store.Tracer(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %s", id)
 		return
 	}
-	if rec == nil {
-		writeError(w, http.StatusNotFound, "job %s has no decision-event recorder", id)
+	if tracer == nil {
+		writeError(w, http.StatusNotFound, "job %s has no live trace", id)
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -47,11 +47,12 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	var cursor int64
-	// drain forwards the events recorded since the last poll; a write error
-	// means the client went away.
+	// drain forwards the decision events of the epoch spans committed since
+	// the last poll; a write error means the client went away.
 	drain := func() bool {
-		evs, cur := rec.Since(cursor)
+		spans, cur := tracer.Since(cursor)
 		cursor = cur
+		evs := telemetry.DecisionEvents(spans)
 		for _, ev := range evs {
 			b, err := json.Marshal(ev)
 			if err != nil {
@@ -91,11 +92,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace exports the job's span trace: ?format=chrome (default) renders
 // the Chrome trace-event JSON that Perfetto and chrome://tracing load
-// directly, ?format=jsonl the archival one-span-per-line form. A running
-// job's trace snapshots its progress so far (open spans marked). A job
-// restored from the journal after a restart has no live tracer; its trace
-// is served from the durable archive when one is attached. Evicting a job
-// deletes its archive, so an evicted job has no trace.
+// directly, ?format=jsonl the archival one-span-per-line form.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -106,10 +103,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want chrome or jsonl)", format)
 		return
 	}
-	var spans []telemetry.Span
-	if tracer, ok := s.store.Tracer(id); ok && tracer != nil {
-		spans = tracer.Snapshot()
-	} else if spans, ok = archived(w, s.pool.traces, id, "trace"); !ok {
+	spans, ok := s.jobSpans(w, id)
+	if !ok {
 		return
 	}
 	switch format {
@@ -121,6 +116,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = telemetry.WriteSpansJSONL(w, spans) //nolint:errcheck // client gone; nothing left to do
 	}
+}
+
+// jobSpans returns the span trace /trace exports and /events reads: a
+// running job's snapshot so far (open spans marked), or, for a job restored
+// after a restart with no live tracer, its durable archive. Evicting a job
+// deletes its archive. On failure it writes the 404 or 500 itself and
+// reports false.
+func (s *Server) jobSpans(w http.ResponseWriter, id string) ([]telemetry.Span, bool) {
+	if tracer, ok := s.store.Tracer(id); ok && tracer != nil {
+		return tracer.Snapshot(), true
+	}
+	return archived(w, s.pool.traces, id, "trace")
 }
 
 // archived loads job id's payload from archive a for a job whose live state

@@ -17,7 +17,7 @@ const DefaultStallDeadline = 5 * time.Minute
 // EnableFlightRecorder arms per-job anomaly detection: every subsequent
 // submission gets a flight recorder dumping into dir, thermal samples above
 // ceilingC trip thermal-runaway alerts (0 disables the ceiling check), and a
-// running job whose decision trace and cell progress both sit still for
+// running job whose trace and cell progress both sit still for
 // stallDeadline trips a stall alert (<= 0 selects DefaultStallDeadline).
 // Call before serving traffic.
 func (p *Pool) EnableFlightRecorder(dir string, ceilingC float64, stallDeadline time.Duration) {
@@ -43,8 +43,9 @@ func (p *Pool) SetArchives(traces *durable.Archive[[]telemetry.Span], learning *
 }
 
 // watchStall starts the job's stall watchdog, when the flight recorder is
-// armed. Progress is any movement of the decision-event total or the cell
-// done/failed counts; a running job that moves neither for the full deadline
+// armed. Progress is any movement of the tracer's cursor (a committed span:
+// an epoch, a window, a finished run or cell) or of the cell done/failed
+// counts; a running job that moves neither for the full deadline
 // trips one stall alert (re-armed if progress later resumes). The watchdog
 // exits with the job's context, which the pool cancels at finalization.
 func (p *Pool) watchStall(jr *jobRun) {
@@ -56,7 +57,7 @@ func (p *Pool) watchStall(jr *jobRun) {
 		defer p.feederWG.Done()
 		tick := time.NewTicker(p.stallDeadline / 4)
 		defer tick.Stop()
-		var lastSig int64 = -1
+		var cursor, lastSig int64 = 0, -1
 		lastChange := time.Now()
 		tripped := false
 		for {
@@ -68,8 +69,8 @@ func (p *Pool) watchStall(jr *jobRun) {
 				if !ok || job.State.Terminal() {
 					return
 				}
-				sig := jr.events.Total() +
-					int64(job.Progress.DoneCells+job.Progress.FailedCells)<<32
+				_, cursor = jr.tracer.Since(cursor)
+				sig := cursor + int64(job.Progress.DoneCells+job.Progress.FailedCells)<<32
 				if sig != lastSig {
 					lastSig, lastChange = sig, time.Now()
 					tripped = false
@@ -82,7 +83,7 @@ func (p *Pool) watchStall(jr *jobRun) {
 					jr.flight.Trip(telemetry.Anomaly{
 						Kind:   telemetry.AnomalyStall,
 						Job:    jr.id,
-						Detail: fmt.Sprintf("no decision-event or cell progress for %s", stalled),
+						Detail: fmt.Sprintf("no span or cell progress for %s", stalled),
 					})
 				}
 			}

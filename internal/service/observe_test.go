@@ -23,15 +23,15 @@ import (
 	"repro/internal/workload"
 )
 
-// emitterPlan builds a planner whose single cell records count decision
-// events into the job's recorder, then blocks on release (so tests control
-// when the job completes).
+// emitterPlan builds a planner whose single cell records count epoch spans
+// into the job's tracer, then blocks on release (so tests control when the
+// job completes).
 func emitterPlan(count int, release chan struct{}) Planner {
-	return func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
-		rec := cfg.Run.Recorder
+	return func(experiments.Config, string) ([]experiments.Cell, experiments.Assemble, error) {
 		cell := experiments.Cell{Key: "emitter", Run: func(ctx context.Context) (any, error) {
+			tr, span := telemetry.SpanFromContext(ctx)
 			for i := 1; i <= count; i++ {
-				rec.Record(telemetry.DecisionEvent{
+				emitEpoch(tr, span, telemetry.DecisionEvent{
 					Epoch: i, TimeS: float64(i), State: i % 4, Action: i % 3,
 					Reward: 0.5, Kind: telemetry.EventDecision,
 				})
@@ -45,6 +45,11 @@ func emitterPlan(count int, release chan struct{}) Planner {
 		}}
 		return []experiments.Cell{cell}, func(rows []any) any { return rows }, nil
 	}
+}
+
+// emitEpoch records ev as an epoch span under parent, as a traced run does.
+func emitEpoch(tr *telemetry.Tracer, parent telemetry.SpanID, ev telemetry.DecisionEvent) {
+	tr.Record(parent, telemetry.KindEpoch, fmt.Sprintf("epoch %d", ev.Epoch), 0, 0, ev.SpanAttrs()...)
 }
 
 // TestServerLiveStreamsBeforeCompletion is the SSE acceptance criterion:
@@ -512,10 +517,10 @@ func TestTraceStoreEvictionHook(t *testing.T) {
 	}
 }
 
-// TestServerLiveResyncsAfterOverflow covers the Recorder.Since satellite: an
-// attached SSE client whose cursor goes stale while the bounded decision ring
-// overflows must resync at the oldest retained event — no panic, no
-// duplicated epochs — and still receive the done event.
+// TestServerLiveResyncsAfterOverflow: an attached SSE client whose cursor
+// goes stale while the job's bounded span ring overflows must resync at the
+// oldest retained epoch — no panic, no duplicated epochs — and still receive
+// the done event.
 func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 	store := NewStore(0)
 	pool := NewPool(store, 1)
@@ -524,17 +529,17 @@ func TestServerLiveResyncsAfterOverflow(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Drive the store directly so the test controls the recorder capacity
+	// Drive the store directly so the test controls the tracer capacity
 	// and exactly when the ring overflows relative to the client's drains.
 	job := store.Create(Spec{Experiment: "suite", Quick: true}, 1)
-	rec := telemetry.NewRecorder(8)
-	store.Bind(job.ID, nil, rec, nil, nil)
+	tracer := telemetry.NewTracer(8)
+	store.Bind(job.ID, nil, tracer, nil)
 	if err := store.Start(job.ID); err != nil {
 		t.Fatal(err)
 	}
 	emit := func(from, to int) {
 		for i := from; i <= to; i++ {
-			rec.Record(telemetry.DecisionEvent{Epoch: i, Kind: telemetry.EventDecision})
+			emitEpoch(tracer, 0, telemetry.DecisionEvent{Epoch: i, Kind: telemetry.EventDecision})
 		}
 	}
 	emit(1, 4)

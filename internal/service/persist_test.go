@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -492,13 +493,12 @@ func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 	// policy with the config's seed and checkpoint so the resolved
 	// warm-start table applies.
 	pool.plan = func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
-		run := cfg.Run
-		cell := experiments.Cell{Key: "rl", Run: func(context.Context) (any, error) {
+		cell := experiments.Cell{Key: "rl", Run: func(ctx context.Context) (any, error) {
 			pol, err := policy.New(experiments.PolicyProposed, policy.Options{Seed: cfg.Seed, Checkpoint: cfg.Warm})
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Run(run, workload.Tachyon(workload.Set1), pol)
+			res, err := sim.Run(experiments.TracedConfig(ctx, cfg).Run, workload.Tachyon(workload.Set1), pol)
 			if err != nil {
 				return nil, err
 			}
@@ -554,6 +554,62 @@ func TestCheckpointWarmStartRoundTrip(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", Spec{Experiment: "suite", Quick: true, WarmStart: "warm1"}, nil); code != http.StatusBadRequest {
 		t.Errorf("warm_start with deleted checkpoint: %d, want 400", code)
+	}
+}
+
+// TestRestoredJobServesEvents: a finished job restored from the journal
+// after a restart has no live tracer, so /events reads its decision trace
+// off the archived trace, byte-equal to what the live job served; /live,
+// which needs the live tracer, still answers 404.
+func TestRestoredJobServesEvents(t *testing.T) {
+	dir := t.TempDir()
+	traces, err := durable.OpenTraces(filepath.Join(dir, "traces"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(store *Store, pool *Pool, path string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		NewServer(store, pool).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	jobs := filepath.Join(dir, "jobs")
+	j := openJournal(t, jobs)
+	store := NewStore(0)
+	store.SetJournal(j)
+	pool := NewPool(store, 2)
+	pool.SetArchives(traces, nil)
+	pool.Start()
+	job, err := pool.Submit(Spec{Experiment: "fig45", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitDone(t, pool, job.ID); final.State != StateDone {
+		t.Fatalf("job finished %s: %s", final.State, final.Error)
+	}
+	events := "/v1/jobs/" + job.ID + "/events"
+	code, live := get(store, pool, events)
+	if code != http.StatusOK || !bytes.Contains(live, []byte(`"kind":"decision"`)) {
+		t.Fatalf("live events: status %d, body %.200q", code, live)
+	}
+	pool.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := openJournal(t, jobs)
+	defer j2.Close()
+	store2 := NewStore(0)
+	pool2 := NewPool(store2, 1)
+	pool2.SetArchives(traces, nil)
+	if restored, resumed := pool2.Recover(j2.Recovered()); restored != 1 || resumed != 0 {
+		t.Fatalf("restore: restored %d resumed %d, want 1/0", restored, resumed)
+	}
+	if code, restored := get(store2, pool2, events); code != http.StatusOK || !bytes.Equal(restored, live) {
+		t.Errorf("restored job's events: status %d, %d bytes; want 200 and the live job's %d bytes", code, len(restored), len(live))
+	}
+	if code, _ := get(store2, pool2, "/v1/jobs/"+job.ID+"/live"); code != http.StatusNotFound {
+		t.Errorf("restored job's live stream: status %d, want 404", code)
 	}
 }
 

@@ -214,12 +214,12 @@ func (p *Pool) Submit(spec Spec) (Job, error) {
 	return job, nil
 }
 
-// observation is one job's observation state: the decision-event recorder
-// (also the stall watchdog's progress signal), the span tracer, the anomaly
-// flight recorder (nil when disabled) and the learning-curve set, which the
-// learning endpoint serves live and finalize archives.
+// observation is one job's observation state: the span tracer (whose epoch
+// spans are the job's decision trace, and whose cursor is the stall
+// watchdog's progress signal), the anomaly flight recorder (nil when
+// disabled) and the learning-curve set, which the learning endpoint serves
+// live and finalize archives.
 type observation struct {
-	events *telemetry.Recorder
 	tracer *telemetry.Tracer
 	flight *telemetry.FlightRecorder
 	curves *rl.CurveSet
@@ -231,13 +231,11 @@ type observation struct {
 // with their seed and repeat first).
 func (p *Pool) observe(cfg *experiments.Config) observation {
 	obs := observation{
-		events: telemetry.NewRecorder(0),
 		tracer: telemetry.NewTracer(0),
 		curves: rl.NewCurveSet(),
 	}
-	cfg.Run.Recorder = obs.events
 	if p.flightDir != "" {
-		obs.flight = telemetry.NewFlightRecorder(p.flightDir, obs.tracer, obs.events, p.reg)
+		obs.flight = telemetry.NewFlightRecorder(p.flightDir, obs.tracer, p.reg)
 		cfg.Run.Anomalies = obs.flight
 		cfg.Run.TempCeilingC = p.tempCeilingC
 	}
@@ -254,7 +252,7 @@ func (p *Pool) observe(cfg *experiments.Config) observation {
 // here, from that outcome. It returns how many cells it left to the tasks.
 func (p *Pool) launch(id string, spec Spec, obs observation, cells []experiments.Cell, assemble experiments.Assemble, rows []any, errs []error, attrs ...telemetry.Attr) int {
 	jctx, jcancel := context.WithCancel(p.ctx)
-	p.store.Bind(id, jcancel, obs.events, obs.tracer, obs.curves)
+	p.store.Bind(id, jcancel, obs.tracer, obs.curves)
 	obs.flight.SetJob(id)
 	jr := &jobRun{
 		id:          id,

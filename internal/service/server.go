@@ -174,9 +174,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // ReadBody reads r's body, at most limit bytes of it; the public routes pass
 // durable.MaxPayload. On a read error it answers with the JSON error envelope
 // and returns false: 413 past the bound, 400 for any other error (a client
-// that hung up mid-body). Every route that takes a body reads it here, the
-// cluster's included.
+// that hung up mid-body). A body whose Content-Length already exceeds the
+// bound is refused before any of it is read. Every route that takes a body
+// reads it here, the cluster's included.
 func ReadBody(w http.ResponseWriter, r *http.Request, what string, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		writeError(w, http.StatusRequestEntityTooLarge, "read %s: %v", what, &http.MaxBytesError{Limit: limit})
+		return nil, false
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		status := http.StatusBadRequest
@@ -328,23 +333,17 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEvents streams the job's RL decision trace as JSONL (one event per
-// line), readable while the job is still running. Jobs whose cells run no
-// RL controller produce an empty body.
+// handleEvents serves the job's RL decision trace as JSONL (one event per
+// line), read off the epoch spans of the trace /trace exports: live while
+// the job runs, from the archive for a job restored after a restart. Jobs
+// whose cells run no RL controller produce an empty body.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.store.EventsRecorder(id)
+	spans, ok := s.jobSpans(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %s", id)
-		return
-	}
-	if rec == nil {
-		writeError(w, http.StatusNotFound, "job %s has no decision-event recorder", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	// The write only fails when the client went away; nothing left to do.
-	_ = rec.WriteJSONL(w)
+	_ = telemetry.WriteEventsJSONL(w, telemetry.DecisionEvents(spans)) //nolint:errcheck // client gone; nothing left to do
 }
 
 // handleLearning serves a job's sampled learning curves. The default JSON

@@ -246,21 +246,20 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
-// TestServerEvents exercises the full recorder threading the ISSUE's
-// acceptance criterion describes: a submitted job whose cell runs the RL
-// controller over a two-application workload must yield a JSONL trace on
-// GET /v1/jobs/{id}/events containing a q_reset event at the app switch.
+// TestServerEvents exercises the full decision-trace threading: a submitted
+// job whose cell runs the RL controller over a two-application workload must
+// yield a JSONL trace on GET /v1/jobs/{id}/events containing a q_reset event
+// at the app switch.
 func TestServerEvents(t *testing.T) {
 	ts, pool, _ := startServer(t, 1)
-	// The planner receives the job's config with the recorder already bound
-	// to cfg.Run.Recorder; running sim.Run with that config validates the
-	// whole chain: Submit → RunConfig → sim's decision feed →
-	// core.Controller.
+	// The cell runs sim.Run under the config TracedConfig derives from its
+	// context, as real cells do, which validates the whole chain: Submit →
+	// the job's tracer → sim's decision feed → core.Controller → the epoch
+	// spans /events reads.
 	pool.plan = func(cfg experiments.Config, _ string) ([]experiments.Cell, experiments.Assemble, error) {
-		run := cfg.Run
-		cell := experiments.Cell{Key: "two-app", Run: func(context.Context) (any, error) {
+		cell := experiments.Cell{Key: "two-app", Run: func(ctx context.Context) (any, error) {
 			seq := workload.NewSequence(workload.Tachyon(workload.Set1), workload.MPEGDec(workload.Set1))
-			res, err := sim.Run(run, seq, &sim.ProposedPolicy{})
+			res, err := sim.Run(experiments.TracedConfig(ctx, cfg).Run, seq, &sim.ProposedPolicy{})
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +313,7 @@ func TestServerEvents(t *testing.T) {
 		t.Errorf("no q_reset event in %d-line trace", len(lines))
 	}
 
-	// Unknown job and a job without a recorder both 404.
+	// An unknown job 404s.
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/job-000042/events", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown job events: %d, want 404", code)
 	}
@@ -328,6 +327,30 @@ func (repeatA) Read(p []byte) (int, error) {
 		p[i] = 'a'
 	}
 	return len(p), nil
+}
+
+// unreadBody fails the test if anything reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body of a request that declares more than the bound was read")
+	return 0, io.EOF
+}
+
+// TestReadBodyRefusesDeclaredOversize: a body whose Content-Length exceeds
+// the bound answers 413 before a byte of it is read, so an oversize request
+// costs no memory.
+func TestReadBodyRefusesDeclaredOversize(t *testing.T) {
+	const limit = 1 << 10
+	r := httptest.NewRequest(http.MethodPost, "/v1/jobs", unreadBody{t})
+	r.ContentLength = limit + 1
+	rec := httptest.NewRecorder()
+	if body, ok := ReadBody(rec, r, "spec", limit); ok || body != nil {
+		t.Fatalf("ReadBody accepted %d bytes", len(body))
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body too large") {
+		t.Errorf("answered %d %s, want 413 with the body-too-large envelope", rec.Code, rec.Body)
+	}
 }
 
 // TestServerBodiesBounded: every route that takes a body reads at most

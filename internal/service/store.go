@@ -24,7 +24,7 @@ type record struct {
 	job Job
 	// rows is the assembled result, set exactly once at completion.
 	rows any
-	// cancel aborts the job's context. It and the three observation handles
+	// cancel aborts the job's context. It and the two observation handles
 	// below are bound by the pool when the job launches (Bind).
 	cancel context.CancelFunc
 	// cancelRequested remembers a DELETE while the job was still running,
@@ -34,10 +34,9 @@ type record struct {
 	// empty until then. Once set, Cancel no longer changes the outcome and
 	// Finish commits exactly this state.
 	latched State
-	// events is the job's bounded decision-event recorder, drained by the
-	// events endpoint.
-	events *telemetry.Recorder
-	// tracer is the job's span tracer, exported by the trace endpoint.
+	// tracer is the job's span tracer, exported by the trace endpoint; its
+	// epoch spans are the job's decision trace (the events and live
+	// endpoints).
 	tracer *telemetry.Tracer
 	// learning is the job's learning-curve set, exported by the learning
 	// endpoint.
@@ -215,14 +214,14 @@ func (s *Store) Done(id string) <-chan struct{} {
 }
 
 // Bind attaches the pool-side handles of job id: the cancel function of its
-// context, its decision-event recorder, span tracer and learning-curve set.
-// A job whose cancellation was requested before Bind (a DELETE between
-// Create and Bind) has its context cancelled here, so none of its cells run.
-func (s *Store) Bind(id string, cancel context.CancelFunc, events *telemetry.Recorder, tracer *telemetry.Tracer, curves *rl.CurveSet) {
+// context, its span tracer and learning-curve set. A job whose cancellation
+// was requested before Bind (a DELETE between Create and Bind) has its
+// context cancelled here, so none of its cells run.
+func (s *Store) Bind(id string, cancel context.CancelFunc, tracer *telemetry.Tracer, curves *rl.CurveSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec, ok := s.jobs[id]; ok {
-		rec.cancel, rec.events, rec.tracer, rec.learning = cancel, events, tracer, curves
+		rec.cancel, rec.tracer, rec.learning = cancel, tracer, curves
 		if rec.cancelRequested {
 			cancel()
 		}
@@ -260,18 +259,6 @@ func (s *Store) SetOnEvict(fn func(id string)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onEvict = fn
-}
-
-// EventsRecorder returns the job's decision-event recorder (nil when none
-// was bound; the recorder itself is safe to read while the job runs).
-func (s *Store) EventsRecorder(id string) (*telemetry.Recorder, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return rec.events, true
 }
 
 // Start transitions pending → running. It fails on jobs already cancelled,

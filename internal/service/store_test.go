@@ -186,7 +186,7 @@ func TestStoreBindCancelsCancelledJob(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s.Bind(job.ID, cancel, nil, nil, nil)
+	s.Bind(job.ID, cancel, nil, nil)
 	if ctx.Err() == nil {
 		t.Error("Bind left a cancelled job's context live")
 	}
@@ -194,7 +194,7 @@ func TestStoreBindCancelsCancelledJob(t *testing.T) {
 	live := s.Create(Spec{Experiment: "suite"}, 1)
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
-	s.Bind(live.ID, lcancel, nil, nil, nil)
+	s.Bind(live.ID, lcancel, nil, nil)
 	if lctx.Err() != nil {
 		t.Error("Bind cancelled a job nobody cancelled")
 	}

@@ -115,19 +115,19 @@ func TestRunBatchMixedConfigs(t *testing.T) {
 // event stream — state, action, reward, alpha, exploration flags per epoch —
 // to be identical between Run and RunBatch.
 func TestRunBatchDecisionSequence(t *testing.T) {
-	mk := func(rec *telemetry.Recorder) (RunConfig, workload.Workload, Policy) {
+	mk := func(tr *telemetry.Tracer) (RunConfig, workload.Workload, Policy) {
 		cfg := DefaultRunConfig()
 		cfg.DiscardTrace = true
-		cfg.Recorder = rec
+		cfg.Tracer = tr
 		return cfg, lightApp(), &ProposedPolicy{}
 	}
-	scalarRec := telemetry.NewRecorder(4096)
-	cfg, work, pol := mk(scalarRec)
+	scalarTr := telemetry.NewTracer(0)
+	cfg, work, pol := mk(scalarTr)
 	if _, err := Run(cfg, work, pol); err != nil {
 		t.Fatal(err)
 	}
-	batchRec := telemetry.NewRecorder(4096)
-	cfg2, work2, pol2 := mk(batchRec)
+	batchTr := telemetry.NewTracer(0)
+	cfg2, work2, pol2 := mk(batchTr)
 	// Pair the run under test with two sibling runs, so any state leaking
 	// between neighbouring runs would show in its decision stream.
 	sibling := func(seed int64) BatchRun {
@@ -142,7 +142,7 @@ func TestRunBatchDecisionSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	se, be := scalarRec.Events(), batchRec.Events()
+	se, be := telemetry.DecisionEvents(scalarTr.Snapshot()), telemetry.DecisionEvents(batchTr.Snapshot())
 	if len(se) == 0 {
 		t.Fatal("scalar run recorded no decision events")
 	}

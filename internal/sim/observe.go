@@ -81,24 +81,19 @@ func (g *runGuard) finals(res *Result) {
 }
 
 // decisionFeed returns the hook a DecisionReporter reports each epoch's
-// decision event to, or nil when neither rec nor tr is set. The event goes
-// to rec and becomes an "epoch N" span under runSpan that covers the wall
-// time since the previous decision, or since the feed was built.
-func decisionFeed(rec *telemetry.Recorder, tr *telemetry.Tracer, runSpan telemetry.SpanID) func(telemetry.DecisionEvent) {
-	if rec == nil && tr == nil {
+// decision event to, or nil when tr is nil. The event becomes an "epoch N"
+// span under runSpan that covers the wall time since the previous decision,
+// or since the feed was built.
+func decisionFeed(tr *telemetry.Tracer, runSpan telemetry.SpanID) func(telemetry.DecisionEvent) {
+	if tr == nil {
 		return nil
 	}
 	wallUS := tr.Now()
 	return func(ev telemetry.DecisionEvent) {
-		if rec != nil {
-			rec.Record(ev)
-		}
-		if tr != nil {
-			now := tr.Now()
-			tr.Record(runSpan, telemetry.KindEpoch, fmt.Sprintf("epoch %d", ev.Epoch),
-				wallUS, now-wallUS, ev.SpanAttrs()...)
-			wallUS = now
-		}
+		now := tr.Now()
+		tr.Record(runSpan, telemetry.KindEpoch, fmt.Sprintf("epoch %d", ev.Epoch),
+			wallUS, now-wallUS, ev.SpanAttrs()...)
+		wallUS = now
 	}
 }
 

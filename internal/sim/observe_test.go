@@ -102,40 +102,52 @@ func TestRunEmitsSpanHierarchy(t *testing.T) {
 	}
 }
 
-// TestEpochSpansMatchDecisionEvents: a run with a recorder and a tracer
-// feeds both from the same decision events, so the i-th epoch span is named
-// after the i-th recorded event and carries its 11 fields in span order. The
-// one difference is the first epoch's missing reward: the recorder stores it
-// as 0, the span as the string "NaN".
+// reportCapture wraps the proposed controller and keeps every decision
+// event it reports on the way to the run's decision feed.
+type reportCapture struct {
+	*ProposedPolicy
+	events []telemetry.DecisionEvent
+}
+
+func (c *reportCapture) ReportDecisions(feed func(telemetry.DecisionEvent)) {
+	c.ProposedPolicy.ReportDecisions(func(ev telemetry.DecisionEvent) {
+		c.events = append(c.events, ev)
+		feed(ev)
+	})
+}
+
+// TestEpochSpansMatchDecisionEvents: a traced run turns each reported
+// decision event into one epoch span, so the i-th epoch span is named after
+// the i-th reported event and carries its 11 fields in span order, and
+// telemetry.DecisionEvents reads the event back. The one difference is the
+// first epoch's missing reward: the span carries the string "NaN", which
+// reads back as 0.
 func TestEpochSpansMatchDecisionEvents(t *testing.T) {
 	cfg := DefaultRunConfig()
-	rec := telemetry.NewRecorder(0)
 	tr := telemetry.NewTracer(0)
-	cfg.Recorder, cfg.Tracer = rec, tr
-	if _, err := Run(cfg, lightApp(), &ProposedPolicy{}); err != nil {
+	cfg.Tracer = tr
+	pol := &reportCapture{ProposedPolicy: &ProposedPolicy{}}
+	if _, err := Run(cfg, lightApp(), pol); err != nil {
 		t.Fatal(err)
 	}
 	var epochs []telemetry.Span
-	for _, sp := range tr.Snapshot() {
+	spans := tr.Snapshot()
+	for _, sp := range spans {
 		if sp.Kind == telemetry.KindEpoch {
 			epochs = append(epochs, sp)
 		}
 	}
-	events := rec.Events()
-	if len(events) == 0 || len(epochs) != len(events) {
-		t.Fatalf("%d epoch spans for %d decision events", len(epochs), len(events))
+	read := telemetry.DecisionEvents(spans)
+	if len(pol.events) == 0 || len(epochs) != len(pol.events) || len(read) != len(pol.events) {
+		t.Fatalf("%d epoch spans and %d read-back events for %d reported events", len(epochs), len(read), len(pol.events))
 	}
-	for i, ev := range events {
+	for i, ev := range pol.events {
 		sp := epochs[i]
 		if want := fmt.Sprintf("epoch %d", ev.Epoch); sp.Name != want {
 			t.Errorf("span %d is named %q, want %q", i, sp.Name, want)
 		}
-		reward := ev.Reward
-		if i == 0 {
-			if ev.Reward != 0 {
-				t.Errorf("first event's reward = %g, want 0 for the NaN of no previous action", ev.Reward)
-			}
-			reward = math.NaN()
+		if i == 0 && !math.IsNaN(ev.Reward) {
+			t.Errorf("first event's reward = %g, want NaN for no previous action", ev.Reward)
 		}
 		want := []telemetry.Attr{
 			telemetry.Num("epoch", float64(ev.Epoch)),
@@ -143,7 +155,7 @@ func TestEpochSpansMatchDecisionEvents(t *testing.T) {
 			telemetry.Str("workload", ev.Workload),
 			telemetry.Num("state", float64(ev.State)),
 			telemetry.Num("action", float64(ev.Action)),
-			telemetry.Num("reward", reward),
+			telemetry.Num("reward", ev.Reward),
 			telemetry.Num("alpha", ev.Alpha),
 			telemetry.Str("phase", ev.Phase),
 			telemetry.Bool("explored", ev.Explored),
@@ -152,6 +164,12 @@ func TestEpochSpansMatchDecisionEvents(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sp.Attrs, want) {
 			t.Errorf("span %d attrs\n%+v\nwant the event's\n%+v", i, sp.Attrs, want)
+		}
+		if i == 0 {
+			ev.Reward = 0
+		}
+		if read[i] != ev {
+			t.Errorf("event %d reads back as\n%+v\nwant\n%+v", i, read[i], ev)
 		}
 	}
 	if str, _, _ := epochs[0].Attr("reward"); str != "NaN" {

@@ -53,10 +53,6 @@ type RunConfig struct {
 	// MTTF computation.
 	Cycling reliability.CyclingParams
 	Aging   reliability.AgingParams
-	// Recorder, when non-nil, receives one decision event per epoch from
-	// policies that report their decisions (DecisionReporter), into a
-	// bounded ring buffer.
-	Recorder *telemetry.Recorder
 	// LearningObserver, when non-nil, arms learning-curve sampling on the
 	// learners (LearningAttacher): a fresh sampler is attached before the
 	// run and finalized after it, and its curve, with the policy and
@@ -67,9 +63,10 @@ type RunConfig struct {
 	// bit-identical. Nil disables sampling with zero overhead.
 	LearningObserver func(rl.RunCurve, Policy)
 	// Tracer, when non-nil, collects hierarchical run/window/epoch spans
-	// (window spans are traceWindowS of simulated time wide); TraceParent is
-	// the span the run span nests under (0 for a root span). A nil Tracer
-	// disables tracing with zero overhead on the step loop.
+	// (window spans are traceWindowS of simulated time wide; each epoch span
+	// carries one decision event of a policy that reports its decisions);
+	// TraceParent is the span the run span nests under (0 for a root span).
+	// A nil Tracer disables tracing with zero overhead on the step loop.
 	Tracer      *telemetry.Tracer
 	TraceParent telemetry.SpanID
 	// TempCeilingC, when positive, arms the thermal-runaway anomaly check: any
@@ -135,8 +132,8 @@ type Result struct {
 
 // DecisionReporter is implemented by policies that report one decision
 // event per epoch (the proposed RL controller). Run arms it after Attach when
-// RunConfig.Recorder or Tracer is set: each event is recorded and becomes an
-// epoch span under the run span.
+// RunConfig.Tracer is set: each event becomes an epoch span under the run
+// span.
 type DecisionReporter interface {
 	ReportDecisions(func(telemetry.DecisionEvent))
 }
@@ -212,7 +209,7 @@ func newRun(cfg RunConfig, work workload.Workload, policy Policy, newPlatform fu
 		return nil, r.fail(fmt.Errorf("sim: attach %s: %w", policy.Name(), err))
 	}
 	if dr, ok := policy.(DecisionReporter); ok {
-		if feed := decisionFeed(cfg.Recorder, cfg.Tracer, r.runSpan); feed != nil {
+		if feed := decisionFeed(cfg.Tracer, r.runSpan); feed != nil {
 			dr.ReportDecisions(feed)
 		}
 	}

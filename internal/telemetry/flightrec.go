@@ -58,8 +58,9 @@ const (
 )
 
 // FlightRecorder is the anomaly "black box" of one job: when an anomaly
-// trips, it dumps the newest spans and decision events — the causal context
-// leading up to the fault — to <dir>/flightrec-<job>.json and increments the
+// trips, it dumps the newest spans and the decision events of the newest
+// epoch spans — the causal context leading up to the fault — to
+// <dir>/flightrec-<job>.json and increments the
 // flightrec_alerts_total{kind} counter. Dumps accumulate per job (bounded),
 // so a thermal runaway followed by a stall lands in one file. All methods
 // are nil-receiver safe.
@@ -68,7 +69,6 @@ type FlightRecorder struct {
 	dir       string
 	job       string
 	tracer    *Tracer
-	events    *Recorder
 	reg       *Registry
 	anomalies []Anomaly
 	trips     int64
@@ -82,14 +82,14 @@ type flightDump struct {
 	Events    []DecisionEvent `json:"events,omitempty"`
 }
 
-// NewFlightRecorder builds a recorder dumping into dir. tracer and events
-// supply the dump context and may be nil; reg receives the alert counters
-// (nil selects Default()).
-func NewFlightRecorder(dir string, tracer *Tracer, events *Recorder, reg *Registry) *FlightRecorder {
+// NewFlightRecorder builds a recorder dumping into dir. tracer supplies the
+// dump context and may be nil; reg receives the alert counters (nil selects
+// Default()).
+func NewFlightRecorder(dir string, tracer *Tracer, reg *Registry) *FlightRecorder {
 	if reg == nil {
 		reg = Default()
 	}
-	return &FlightRecorder{dir: dir, tracer: tracer, events: events, reg: reg}
+	return &FlightRecorder{dir: dir, tracer: tracer, reg: reg}
 }
 
 // SetJob names the job the recorder belongs to (used in the dump file name;
@@ -162,17 +162,14 @@ func (f *FlightRecorder) dumpLocked() {
 	dump := flightDump{Job: f.job, Anomalies: f.anomalies}
 	if f.tracer != nil {
 		spans := f.tracer.Snapshot()
+		dump.Events = DecisionEvents(spans)
+		if len(dump.Events) > flightDumpEvents {
+			dump.Events = dump.Events[len(dump.Events)-flightDumpEvents:]
+		}
 		if len(spans) > flightDumpSpans {
 			spans = spans[len(spans)-flightDumpSpans:]
 		}
 		dump.Spans = spans
-	}
-	if f.events != nil {
-		evs := f.events.Events()
-		if len(evs) > flightDumpEvents {
-			evs = evs[len(evs)-flightDumpEvents:]
-		}
-		dump.Events = evs
 	}
 	if err := WriteFileAtomic(path, dump); err != nil {
 		f.reg.Counter("flightrec_dump_errors_total", "Flight-recorder dump files that failed to write.").Inc()

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,12 +15,11 @@ func TestFlightRecorderTripDumpsContext(t *testing.T) {
 	dir := t.TempDir()
 	tr := newTestTracer(0)
 	run := tr.Start(0, KindRun, "proposed/tachyon")
-	tr.Record(run, KindEpoch, "epoch 1", tr.Now(), 10, Num("state", 2))
-	rec := NewRecorder(8)
-	rec.Record(DecisionEvent{Epoch: 1, TimeS: 10, State: 2, Action: 1, Kind: EventDecision})
+	tr.Record(run, KindEpoch, "epoch 1", tr.Now(), 10,
+		DecisionEvent{Epoch: 1, TimeS: 10, State: 2, Action: 1, Kind: EventDecision}.SpanAttrs()...)
 	reg := NewRegistry()
 
-	fr := NewFlightRecorder(dir, tr, rec, reg)
+	fr := NewFlightRecorder(dir, tr, reg)
 	fr.SetJob("job-000042")
 	fr.Trip(Anomaly{
 		Kind: AnomalyThermalRunaway, Cell: "suite/tachyon/proposed",
@@ -74,7 +72,7 @@ func TestFlightRecorderTripDumpsContext(t *testing.T) {
 func TestFlightRecorderAccumulatesAnomalies(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	fr := NewFlightRecorder(dir, nil, nil, reg)
+	fr := NewFlightRecorder(dir, nil, reg)
 	fr.SetJob("j1")
 	fr.Trip(Anomaly{Kind: AnomalyNumeric, Detail: "NaN temperature on core 0", TimeS: 5})
 	fr.Trip(Anomaly{Kind: AnomalyStall, Detail: "no progress for 30s"})
@@ -109,7 +107,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 
 func TestFlightRecorderNoJobNoFile(t *testing.T) {
 	dir := t.TempDir()
-	fr := NewFlightRecorder(dir, nil, nil, NewRegistry())
+	fr := NewFlightRecorder(dir, nil, NewRegistry())
 	fr.Trip(Anomaly{Kind: AnomalyNumeric, Detail: "pre-job"})
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -137,75 +135,85 @@ func TestFlightRecorderNoJobNoFile(t *testing.T) {
 	}
 }
 
-// TestRecorderOverflowCounter overflows the decision-event ring and asserts
-// the process-wide drop counter surfaces the overwrites in /metrics.
-func TestRecorderOverflowCounter(t *testing.T) {
-	before, _ := Default().Value("telemetry_decision_events_dropped_total")
-	rec := NewRecorder(16)
+// TestTracerOverflowCounter overflows a tracer's span ring and asserts the
+// process-wide drop counter surfaces the overwrites in /metrics.
+func TestTracerOverflowCounter(t *testing.T) {
+	before, _ := Default().Value("telemetry_spans_dropped_total")
+	tr := newTestTracer(16)
 	for i := 0; i < 40; i++ {
-		rec.Record(DecisionEvent{Epoch: i + 1, TimeS: float64(i), Kind: EventDecision})
+		tr.Record(0, KindEpoch, "e", int64(i), 1)
 	}
-	if rec.Len() != 16 {
-		t.Fatalf("retained %d, want 16", rec.Len())
+	if tr.Len() != 16 || tr.Dropped() != 24 {
+		t.Fatalf("retained %d, dropped %d; want 16 and 24", tr.Len(), tr.Dropped())
 	}
-	if rec.Dropped() != 24 {
-		t.Fatalf("dropped %d, want 24", rec.Dropped())
-	}
-	after, _ := Default().Value("telemetry_decision_events_dropped_total")
+	after, _ := Default().Value("telemetry_spans_dropped_total")
 	if after-before != 24 {
 		t.Errorf("drop counter moved by %g, want 24", after-before)
 	}
 	// The counter must actually appear on the exposition page.
 	rw := httptest.NewRecorder()
 	Handler(Default()).ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rw.Body.String(), "telemetry_decision_events_dropped_total") {
+	if !strings.Contains(rw.Body.String(), "telemetry_spans_dropped_total") {
 		t.Error("drop counter missing from /metrics exposition")
 	}
 }
 
-func TestRecorderSinceCursor(t *testing.T) {
-	rec := NewRecorder(4)
-	evs, cur := rec.Since(0)
-	if len(evs) != 0 || cur != 0 {
-		t.Fatalf("empty recorder: %v, %d", evs, cur)
+func TestTracerSinceCursor(t *testing.T) {
+	tr := newTestTracer(4)
+	epoch := func(i int) {
+		tr.Record(0, KindEpoch, fmt.Sprintf("epoch %d", i), 0, 1, DecisionEvent{Epoch: i}.SpanAttrs()...)
 	}
-	rec.Record(DecisionEvent{Epoch: 1})
-	rec.Record(DecisionEvent{Epoch: 2})
-	evs, cur = rec.Since(cur)
-	if len(evs) != 2 || evs[0].Epoch != 1 || evs[1].Epoch != 2 {
-		t.Fatalf("first drain: %+v", evs)
+	epochs := func(spans []Span) []int {
+		var out []int
+		for _, ev := range DecisionEvents(spans) {
+			out = append(out, ev.Epoch)
+		}
+		return out
 	}
-	// No new events: cursor unchanged, nothing returned.
-	evs, cur2 := rec.Since(cur)
-	if len(evs) != 0 || cur2 != cur {
-		t.Fatalf("idle drain: %+v, %d", evs, cur2)
+	spans, cur := tr.Since(0)
+	if len(spans) != 0 || cur != 0 {
+		t.Fatalf("empty tracer: %v, %d", spans, cur)
 	}
-	// Overflow while the client lags: only the retained tail comes back.
-	for i := 3; i <= 10; i++ {
-		rec.Record(DecisionEvent{Epoch: i})
+	// Open spans are not committed yet, so Since does not return them.
+	open := tr.Start(0, KindRun, "run")
+	epoch(1)
+	epoch(2)
+	spans, cur = tr.Since(cur)
+	if fmt.Sprint(epochs(spans)) != "[1 2]" || len(spans) != 2 {
+		t.Fatalf("first drain: %+v", spans)
 	}
-	evs, cur = rec.Since(cur)
-	if len(evs) != 4 {
-		t.Fatalf("lagged drain: %d events, want 4 (ring capacity)", len(evs))
+	// Nothing new: cursor unchanged, nothing returned.
+	spans, cur2 := tr.Since(cur)
+	if len(spans) != 0 || cur2 != cur {
+		t.Fatalf("idle drain: %+v, %d", spans, cur2)
 	}
-	if evs[0].Epoch != 7 || evs[3].Epoch != 10 {
-		t.Errorf("lagged drain range: %d..%d, want 7..10", evs[0].Epoch, evs[3].Epoch)
+	// Overflow while the reader lags: only the retained tail comes back.
+	for i := 3; i <= 9; i++ {
+		epoch(i)
+	}
+	tr.End(open)
+	spans, cur = tr.Since(cur)
+	if fmt.Sprint(epochs(spans)) != "[7 8 9]" || len(spans) != 4 || spans[3].Kind != KindRun {
+		t.Errorf("lagged drain: epochs %v of %d spans, want [7 8 9] then the run", epochs(spans), len(spans))
 	}
 	if cur != 10 {
 		t.Errorf("cursor = %d, want 10", cur)
 	}
+	var nilTracer *Tracer
+	if spans, cur := nilTracer.Since(0); spans != nil || cur != 0 {
+		t.Error("nil tracer must be inert")
+	}
 }
 
-func TestRecorderPhaseExploredSerialized(t *testing.T) {
-	rec := NewRecorder(4)
-	rec.Record(DecisionEvent{Epoch: 1, Phase: "exploration", Explored: true, Reward: math.NaN()})
-	var sb strings.Builder
-	if err := rec.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
+// TestTracerDefaultCapacity: a non-positive capacity keeps the newest
+// DefaultTracerCapacity spans.
+func TestTracerDefaultCapacity(t *testing.T) {
+	tr := newTestTracer(0)
+	for i := 0; i <= DefaultTracerCapacity; i++ {
+		tr.Record(0, KindEpoch, "e", 0, 1)
 	}
-	line := sb.String()
-	if !strings.Contains(line, `"phase":"exploration"`) || !strings.Contains(line, `"explored":true`) {
-		t.Errorf("phase/explored missing from JSONL: %s", line)
+	if tr.Len() != DefaultTracerCapacity || tr.Dropped() != 1 {
+		t.Errorf("len %d dropped %d, want %d and 1", tr.Len(), tr.Dropped(), DefaultTracerCapacity)
 	}
 }
 

@@ -96,8 +96,17 @@ func (s Span) Attr(key string) (string, float64, bool) {
 }
 
 // DefaultTracerCapacity bounds a tracer's completed-span ring when the
-// caller passes a non-positive capacity.
-const DefaultTracerCapacity = 8192
+// caller passes a non-positive capacity. A job's decision trace is read off
+// its epoch spans, so the bound must hold a whole job: the largest registered
+// experiment, fig3 in full mode, records 9,537 spans (2,388 of them epochs).
+// The ring grows on demand, so a smaller job holds only its own spans.
+const DefaultTracerCapacity = 16384
+
+// spansDropped counts completed spans overwritten by ring wraparound across
+// all tracers, so /metrics shows when traces (and the decision traces read
+// off them) are being truncated; a tracer's own count dies with its job.
+var spansDropped = Default().Counter("telemetry_spans_dropped_total",
+	"Completed spans overwritten by tracer ring wraparound, across all tracers.")
 
 // Tracer collects hierarchical spans into a bounded ring: once full, newly
 // completed spans overwrite the oldest, so the newest N survive however long
@@ -194,7 +203,15 @@ func (t *Tracer) End(id SpanID, attrs ...Attr) {
 		sp.DurUS = 0
 	}
 	sp.Attrs = append(sp.Attrs, attrs...)
-	t.done.Push(*sp)
+	t.push(*sp)
+}
+
+// push commits a completed span to the ring, counting an overwrite. Callers
+// hold t.mu.
+func (t *Tracer) push(sp Span) {
+	if t.done.Push(sp) {
+		spansDropped.Inc()
+	}
 }
 
 // Record commits a fully formed span in one call — the epoch path, where
@@ -210,7 +227,7 @@ func (t *Tracer) Record(parent SpanID, kind, name string, startUS, durUS int64, 
 	defer t.mu.Unlock()
 	t.lastID++
 	id := t.lastID
-	t.done.Push(Span{
+	t.push(Span{
 		ID:      id,
 		Parent:  parent,
 		Kind:    kind,
@@ -230,6 +247,20 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.done.Dropped()
+}
+
+// Since returns the completed spans committed after cursor (a value
+// previously returned by Since, or 0 for the beginning), oldest first, plus
+// the new cursor. A cursor that fell behind the ring resyncs at the oldest
+// retained span, so a lagging reader skips the overwritten ones. The cursor
+// only grows, so it doubles as a progress signal.
+func (t *Tracer) Since(cursor int64) ([]Span, int64) {
+	if t == nil {
+		return nil, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done.Since(cursor)
 }
 
 // Len returns the number of retained completed spans.
@@ -303,7 +334,7 @@ func (t *Tracer) Import(parent SpanID, spans []Span, rootAttrs ...Attr) int {
 				sp.Attrs = append(attrs, rootAttrs...)
 			}
 		}
-		t.done.Push(sp)
+		t.push(sp)
 	}
 	return len(spans)
 }

@@ -1,7 +1,8 @@
 // Package telemetry is the repository's observability layer: an
 // allocation-light registry of atomic counters, gauges and fixed-bucket
-// histograms with Prometheus text exposition, a bounded ring-buffer recorder
-// for RL decision events, and slog helpers shared by the binaries.
+// histograms with Prometheus text exposition, a bounded span tracer whose
+// epoch spans carry the RL decision events, and slog helpers shared by the
+// binaries.
 //
 // Metric values are lock-free on the hot path (atomic integers, CAS float
 // adds); the registry mutex is only taken on registration and gather.

@@ -323,13 +323,3 @@ func BenchmarkWritePrometheus(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRecorderRecord(b *testing.B) {
-	rec := NewRecorder(DefaultRecorderCapacity)
-	ev := DecisionEvent{Epoch: 1, Workload: "tachyon", State: 3, Action: 7, Reward: 0.5, Kind: EventDecision}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.Epoch = i
-		rec.Record(ev)
-	}
-}

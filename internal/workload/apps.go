@@ -253,21 +253,32 @@ func AppNames() []string {
 	return []string{"tachyon", "mpeg_dec", "mpeg_enc", "face_rec", "sphinx"}
 }
 
-// ByName builds an application by name ("tachyon", "mpeg_dec", "mpeg_enc",
-// "face_rec", "sphinx") and data set.
-func ByName(name string, ds DataSet) (*Application, error) {
+// SpecByName returns the spec of an application by name ("tachyon",
+// "mpeg_dec", "mpeg_enc", "face_rec", "sphinx") and data set, without
+// generating the application.
+func SpecByName(name string, ds DataSet) (Spec, error) {
 	switch name {
 	case "tachyon":
-		return Tachyon(ds), nil
+		return TachyonSpec(ds), nil
 	case "mpeg_dec", "mpegdec":
-		return MPEGDec(ds), nil
+		return MPEGDecSpec(ds), nil
 	case "mpeg_enc", "mpegenc":
-		return MPEGEnc(ds), nil
+		return MPEGEncSpec(ds), nil
 	case "face_rec", "facerec":
-		return FaceRec(ds), nil
+		return FaceRecSpec(ds), nil
 	case "sphinx":
-		return Sphinx(ds), nil
+		return SphinxSpec(ds), nil
 	default:
-		return nil, fmt.Errorf("workload: unknown application %q (want one of %v)", name, AppNames())
+		return Spec{}, fmt.Errorf("workload: unknown application %q (want one of %v)", name, AppNames())
 	}
+}
+
+// ByName builds an application by name and data set: SpecByName, then
+// Generate.
+func ByName(name string, ds DataSet) (*Application, error) {
+	s, err := SpecByName(name, ds)
+	if err != nil {
+		return nil, err
+	}
+	return s.Generate(), nil
 }
