@@ -57,7 +57,7 @@ stress:
 # smoke's time minimizing. A crasher lands in the package's testdata/fuzz/
 # and becomes a corpus entry.
 FUZZ_TARGETS = FuzzDecodeSpanBatch FuzzHeartbeatMetrics FuzzParseSpec FuzzDecodeCheckpoint
-FUZZ_PKGS = ./internal/cluster ./internal/campaign ./internal/policy
+FUZZ_PKGS = ./internal/telemetry ./internal/cluster ./internal/campaign ./internal/policy
 FUZZ_RUN = ^($(subst $(space),|,$(strip $(FUZZ_TARGETS))))$$
 fuzz-smoke:
 	@found=$$($(GO) test -list '$(FUZZ_RUN)' $(FUZZ_PKGS) | grep -c '^Fuzz'); \

@@ -355,7 +355,7 @@ func (c *Coordinator) resultSpans(wid, job string, cell int, batch []byte) []tel
 	if len(batch) == 0 {
 		return nil
 	}
-	spans, err := decodeSpanBatch(batch)
+	spans, err := telemetry.DecodeSpanBatch(batch)
 	if err != nil {
 		c.log.Warn("span batch dropped", "worker", wid, "job", job, "cell", cell, "err", err)
 	}

@@ -604,7 +604,7 @@ func answerRow(t *testing.T, w http.ResponseWriter, req AssignRequest) {
 // decode still commits its row, since reassigning the cell would only run it
 // again, and it imports no spans.
 func TestMalformedSpanBatchCommitsRow(t *testing.T) {
-	bad := append([]byte{spanBatchVersion + 1}, encodeSpanBatch(recordedBatch(t))[1:]...)
+	bad := append([]byte{batchVersion + 1}, telemetry.EncodeSpanBatch(recordedBatch(t))[1:]...)
 	tc, job := stubWorker(t, func(w http.ResponseWriter, _ *http.Request, req AssignRequest) {
 		row, err := json.Marshal(stubRow(req.Cell))
 		if err != nil {

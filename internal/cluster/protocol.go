@@ -14,7 +14,7 @@ import (
 
 // Wire types for the coordinator ⇄ worker HTTP protocol: JSON bodies, except
 // that a cell's result carries its span batch as one binary field
-// (spanwire.go), which JSON sends as base64. Durations cross the wire as
+// (telemetry.EncodeSpanBatch), which JSON sends as base64. Durations cross the wire as
 // integer milliseconds or microseconds so the payloads stay readable in curl
 // and logs. The coordinator reads at most durable.MaxPayload bytes of a
 // request body (413 past it) and of an assignment's response; a worker reads
@@ -111,7 +111,7 @@ type AssignResponse struct {
 	Row json.RawMessage `json:"row,omitempty"`
 	Err string          `json:"err,omitempty"`
 	// SpanBatch is the worker-side span batch for this cell, encoded by
-	// encodeSpanBatch (timestamps already shifted into the coordinator's
+	// telemetry.EncodeSpanBatch (timestamps already shifted into the coordinator's
 	// clock by the worker's offset estimate). A batch the coordinator
 	// cannot decode is logged and dropped; the result still commits.
 	SpanBatch []byte `json:"span_batch,omitempty"`

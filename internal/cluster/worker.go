@@ -388,7 +388,7 @@ func (w *Worker) run(ctx context.Context, req AssignRequest) AssignResponse {
 	// assignment off the capacity backstop.
 	w.inflight.Add(-1)
 	if tracer != nil {
-		res.SpanBatch = encodeSpanBatch(w.spanBatch(tracer))
+		res.SpanBatch = telemetry.EncodeSpanBatch(w.spanBatch(tracer))
 	}
 	return res
 }
