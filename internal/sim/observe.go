@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/telemetry"
 )
@@ -91,7 +92,7 @@ func decisionFeed(tr *telemetry.Tracer, runSpan telemetry.SpanID) func(telemetry
 	wallUS := tr.Now()
 	return func(ev telemetry.DecisionEvent) {
 		now := tr.Now()
-		tr.Record(runSpan, telemetry.KindEpoch, fmt.Sprintf("epoch %d", ev.Epoch),
+		tr.Record(runSpan, telemetry.KindEpoch, "epoch "+strconv.Itoa(ev.Epoch),
 			wallUS, now-wallUS, ev.SpanAttrs()...)
 		wallUS = now
 	}
@@ -122,6 +123,17 @@ type windowAgg struct {
 // traceWindowS is the simulated-time width of one window span, seconds: the
 // aggregation granularity of the thermal timeline.
 const traceWindowS = 10
+
+// windowCoreKeys holds each core's window-span attribute keys,
+// core<i>_mean_c and core<i>_mean_w, built once for the scheduler's limit of
+// 32 cores rather than formatted for every window.
+var windowCoreKeys = func() (keys [32][2]string) {
+	for i := range keys {
+		core := "core" + strconv.Itoa(i)
+		keys[i] = [2]string{core + "_mean_c", core + "_mean_w"}
+	}
+	return keys
+}()
 
 // newWindowAgg returns nil when tracing is off.
 func newWindowAgg(cfg RunConfig, parent telemetry.SpanID) *windowAgg {
@@ -191,12 +203,13 @@ func (w *windowAgg) emit(endS float64) {
 		telemetry.Num("peak_c", w.peakC),
 		telemetry.Num("temp_flips", float64(w.flips)))
 	for i := range w.sumT {
+		keys := &windowCoreKeys[i]
 		attrs = append(attrs,
-			telemetry.Num(fmt.Sprintf("core%d_mean_c", i), w.sumT[i]/n),
-			telemetry.Num(fmt.Sprintf("core%d_mean_w", i), w.sumP[i]/n))
+			telemetry.Num(keys[0], w.sumT[i]/n),
+			telemetry.Num(keys[1], w.sumP[i]/n))
 	}
 	w.tracer.Record(w.parent, telemetry.KindWindow,
-		fmt.Sprintf("window %d", w.index),
+		"window "+strconv.Itoa(w.index),
 		w.wallUS, w.tracer.Now()-w.wallUS, attrs...)
 	w.samples = 0
 }
