@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -23,9 +22,32 @@ var ErrNotArchived = errors.New("durable: job not archived")
 // passes a non-positive keep count.
 const DefaultTraceKeep = 64
 
-// jobNameRE guards archive file names against path traversal; job IDs are
-// "job-%06d" but recovered journals may carry arbitrary strings.
-var jobNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
+// namePattern is the form of an archived job's name and of a checkpoint's
+// name, both of which become file names: safe as a path component and as an
+// HTTP path segment. validName checks it.
+const namePattern = `^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`
+
+// validName reports whether s matches namePattern: 1 to 128 bytes, the first
+// an ASCII letter or digit and the rest letters, digits, '.', '_' or '-'.
+// It guards archive file names against path traversal (job IDs are
+// "job-%06d", but recovered journals may carry arbitrary strings). It is
+// written out rather than compiled from the pattern, whose bounded
+// repetition costs every binary importing this package 0.4–1 ms and
+// ~118 KB at init.
+func validName(s string) bool {
+	if len(s) == 0 || len(s) > 128 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case i > 0 && (c == '.' || c == '_' || c == '-'):
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Archive keeps one payload per finished job as a file <prefix><job>.jsonl
 // under its directory, so the payload outlives the process that ran the
@@ -73,7 +95,7 @@ func (a *Archive[T]) path(job string) string {
 // Save archives one job's payload atomically (write-temp + rename) and
 // prunes the oldest archives past the retention bound.
 func (a *Archive[T]) Save(job string, v T) error {
-	if !jobNameRE.MatchString(job) {
+	if !validName(job) {
 		return fmt.Errorf("durable: bad archive job name %q", job)
 	}
 	a.mu.Lock()
@@ -108,7 +130,7 @@ func (a *Archive[T]) write(path string, v T) error {
 // Load reads back one job's payload (ErrNotArchived when absent).
 func (a *Archive[T]) Load(job string) (T, error) {
 	var zero T
-	if !jobNameRE.MatchString(job) {
+	if !validName(job) {
 		return zero, ErrNotArchived
 	}
 	a.mu.Lock()
@@ -130,7 +152,7 @@ func (a *Archive[T]) Load(job string) (T, error) {
 
 // Delete removes one job's archive (idempotent; a no-op on a nil archive).
 func (a *Archive[T]) Delete(job string) error {
-	if a == nil || !jobNameRE.MatchString(job) {
+	if a == nil || !validName(job) {
 		return nil
 	}
 	a.mu.Lock()

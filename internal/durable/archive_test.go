@@ -3,9 +3,12 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/rl"
@@ -142,4 +145,49 @@ func archiveCases[T any](t *testing.T, open func(string, int) (*Archive[T], erro
 			t.Fatalf("keep = %d, want %d", a.keep, DefaultTraceKeep)
 		}
 	})
+}
+
+// TestValidNameMatchesPattern checks validName against namePattern compiled
+// as the regexp it replaces, over names built to sit on its edges: path
+// traversal, separators, non-ASCII and invalid UTF-8 bytes, the characters
+// next to each allowed range, and lengths 0, 1, 127, 128, 129 and beyond.
+func TestValidNameMatchesPattern(t *testing.T) {
+	re := regexp.MustCompile(namePattern)
+	names := []string{
+		"", "a", "job-000001", "trained-v2", "app_mpeg.dec", "X9", "9", ".", "..", "../escape",
+		"a/../b", "a/b", `a\b`, "..%2f", "has space", ".hidden", "-dash", "_under", "a\n", "a\x00",
+		"café", "ǅ", "\xff\xfe", "a\xff", "ａ", strings.Repeat("a", 127), strings.Repeat("a", 128),
+		strings.Repeat("a", 129), strings.Repeat("b", 200), "a" + strings.Repeat("é", 63),
+	}
+	// Every byte the pattern might misjudge: the ASCII punctuation around
+	// each allowed range, controls, DEL and bytes past ASCII.
+	edges := []byte("aAzZ09._-/\\:;@[`{~ \t\n\x00\x7f\x80\xc3\xa9\xff+,=%")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		n := rng.Intn(132)
+		if i%10 == 0 {
+			n = 126 + rng.Intn(5) // around the length bound
+		}
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = "abcXYZ0189._-"[rng.Intn(13)]
+		}
+		for k := rng.Intn(3); n > 0 && k > 0; k-- {
+			b[rng.Intn(n)] = edges[rng.Intn(len(edges))]
+		}
+		names = append(names, string(b))
+	}
+	accepted := 0
+	for _, name := range names {
+		want := re.MatchString(name)
+		if got := validName(name); got != want {
+			t.Errorf("validName(%q) = %v, the pattern says %v", name, got, want)
+		}
+		if want {
+			accepted++
+		}
+	}
+	if accepted < len(names)/10 || accepted > len(names)*9/10 {
+		t.Errorf("the pattern accepts %d of %d names: too few of either kind to compare", accepted, len(names))
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -17,10 +16,6 @@ import (
 
 // ErrNoCheckpoint reports a lookup of a name the store does not hold.
 var ErrNoCheckpoint = errors.New("durable: no such checkpoint")
-
-// checkpointNameRE bounds names to something that is safe as a path
-// component and an HTTP path segment.
-var checkpointNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 
 // CheckpointInfo describes one stored checkpoint.
 type CheckpointInfo struct {
@@ -104,8 +99,8 @@ func (cs *CheckpointStore) referencedLocked(hash, except string) bool {
 // unreferenced blob, which the next Put or Delete of that hash reuses or
 // removes.
 func (cs *CheckpointStore) Put(name string, payload []byte) (CheckpointInfo, error) {
-	if !checkpointNameRE.MatchString(name) {
-		return CheckpointInfo{}, fmt.Errorf("durable: invalid checkpoint name %q (want %s)", name, checkpointNameRE)
+	if !validName(name) {
+		return CheckpointInfo{}, fmt.Errorf("durable: invalid checkpoint name %q (want %s)", name, namePattern)
 	}
 	if len(payload) == 0 || len(payload) > MaxPayload {
 		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint payload must be 1..%d bytes, got %d", MaxPayload, len(payload))
