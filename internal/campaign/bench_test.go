@@ -21,7 +21,8 @@ func simSteps() int64 {
 // ladder: one op plans the example tournament and runs its cells
 // sequentially with a job's observation armed the way the service pool
 // arms it (a span tracer with one cell span per run, whose epoch spans carry
-// the decision events, and a learning-curve observer). A cell that shares another cell's run
+// the decision events, sealed as each cell and the job end, and a
+// learning-curve observer). A cell that shares another cell's run
 // takes its row from that run, as both executors do. It reports the time
 // per planned cell, which moves with perfbench's cpu_ms_per_cell, and per
 // platform tick.
@@ -55,8 +56,10 @@ func BenchmarkTournamentCells(b *testing.B) {
 				b.Fatal(err)
 			}
 			tracer.End(span)
+			tracer.Seal()
 		}
 		tracer.End(job)
+		tracer.Seal()
 		ticks += simSteps() - before
 		cells += int64(len(plan))
 	}
