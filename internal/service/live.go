@@ -18,9 +18,10 @@ const defaultLivePoll = 250 * time.Millisecond
 // handleLive streams the job's RL decision epochs over Server-Sent Events:
 // one "epoch" event per epoch span its live tracer commits (data = the
 // DecisionEvent JSON), then one "done" event carrying the final job snapshot
-// when the job reaches a terminal state. Clients that lag behind the bounded
-// span ring skip the overwritten epochs; disconnecting clients cost nothing
-// beyond their own request goroutine, which exits on the next poll.
+// when the job reaches a terminal state. Each poll decodes only the spans
+// committed since the last one. Clients that lag behind the tracer's bound
+// skip the overwritten epochs; disconnecting clients cost nothing beyond
+// their own request goroutine, which exits on the next poll.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tracer, ok := s.store.Tracer(id)
