@@ -49,9 +49,6 @@ func TestRing(t *testing.T) {
 			if r.Len() != len(c.items) || r.Total() != int64(c.pushes) {
 				t.Errorf("Len %d Total %d, want %d and %d", r.Len(), r.Total(), len(c.items), c.pushes)
 			}
-			if r.Dropped() != r.Total()-int64(r.Len()) {
-				t.Errorf("Dropped %d != Total %d - Len %d", r.Dropped(), r.Total(), r.Len())
-			}
 			// Storage follows the items pushed, not the bound.
 			if 2*c.pushes < c.capacity && cap(r.buf) >= c.capacity {
 				t.Errorf("%d pushes hold storage for %d items (capacity %d)", c.pushes, cap(r.buf), c.capacity)
