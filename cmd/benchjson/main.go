@@ -1,38 +1,29 @@
 // Command benchjson converts `go test -bench` output into a machine-readable
-// JSON summary: one object per benchmark, keyed by the benchmark's name
-// (GOMAXPROCS suffix stripped), with ns/op and — when -benchmem was on —
-// B/op and allocs/op.
+// JSON summary and checks it against the repository's benchmark gate table.
 //
 // Usage:
 //
 //	go test -bench . -benchmem ./... | benchjson -o BENCH.json
-//	benchjson -o BENCH.json results/bench.txt
-//	benchjson -compare BENCH_pr4.json -threshold 0.2 results/bench.txt
-//	benchjson -only ClusterDispatch -compare BENCH_pr6.json -threshold 0.05 -o BENCH_pr7.json results/bench.txt
+//	benchjson -compare BENCH_baseline.json -o BENCH.json results/bench.txt
+//	benchjson -ci -compare BENCH_baseline.json results/bench-smoke.txt
 //
-// The raw text still flows to stdout, so benchjson drops into a pipeline
-// without hiding the human-readable output. Benchmarks that appear more than
-// once (e.g. -count > 1) keep their last measurement.
-//
-// With -compare, the parsed results are diffed against a previously written
-// summary file: every benchmark present in both is checked, and the command
-// exits nonzero if ns/op or allocs/op regressed by more than -threshold
-// (fractional, default 0.20 = 20%). Benchmarks present on only one side are
-// reported but never fail the run, so the baseline can lag the benchmark set.
+// The summary holds one object per benchmark, keyed by the benchmark's name
+// (GOMAXPROCS suffix stripped), with ns/op, B/op and allocs/op when
+// -benchmem was on, and any custom b.ReportMetric units. A benchmark measured
+// more than once (-count N) records the median of each metric. The raw text
+// still flows to stdout, so benchjson drops into a pipeline without hiding
+// the human-readable output.
 //
 // The summary also records the host the numbers were measured on, under the
 // reserved key "host": the goos, goarch and cpu header lines of the bench
 // output, the GOMAXPROCS suffix of the benchmark names and the Go version
-// that ran benchjson. -compare skips that key (and loads baselines written
-// before it existed), reporting both hosts next to the deltas.
+// that ran benchjson.
 //
-// -only restricts the parsed set to benchmarks matching a regexp, so a gate
-// can target one benchmark out of a full sweep. When -o and -compare are
-// combined, each written result additionally records its ns/op delta against
-// the baseline ("vs_base_ns_pct"), making the summary file itself the
-// overhead record for that run; -report-only keeps the annotation and the
-// delta report but never fails, for summary-producing runs that are not
-// gates.
+// With -compare, benchjson reports every benchmark's change against a
+// baseline summary and checks each row of the gate table (gate.go) against
+// it, exiting nonzero if a row fails. -ci checks only the rows marked for
+// ci, which `make bench-smoke` runs on a one-iteration pass; -report-only
+// reports the verdict without failing.
 package main
 
 import (
@@ -42,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -55,9 +45,6 @@ type result struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// VsBaseNsPct is the ns/op delta against the -compare baseline, recorded
-	// only when -o and -compare run together (e.g. +3.1 = 3.1% slower).
-	VsBaseNsPct *float64 `json:"vs_base_ns_pct,omitempty"`
 	// Metrics holds any custom b.ReportMetric units (e.g. "sims/s",
 	// "agingMTTFgain_x") so a benchmark's headline numbers survive into the
 	// summary file alongside the timing columns. Never gated on.
@@ -104,19 +91,17 @@ func (h *host) parseHeader(line string) bool {
 
 func main() {
 	out := flag.String("o", "", "write the JSON summary to this file (default stdout only)")
-	compare := flag.String("compare", "", "baseline JSON summary to diff against; regressions beyond -threshold fail the run")
-	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression in ns/op and allocs/op before -compare fails")
-	only := flag.String("only", "", "regexp restricting which benchmarks are kept (matched against the name without the -GOMAXPROCS suffix)")
-	reportOnly := flag.Bool("report-only", false, "with -compare, report and annotate deltas but never fail the run")
-	gateNS := flag.Bool("gate-ns", false, "with -compare, fail only on ns/op regressions; allocs/op deltas are reported but never gate (for changes whose payload legitimately allocates)")
+	compare := flag.String("compare", "", "baseline JSON summary to check the gate table against; a failing row fails the run")
+	reportOnly := flag.Bool("report-only", false, "with -compare, report the changes and the gate verdict but never fail")
+	ciOnly := flag.Bool("ci", false, "with -compare, check only the gate table's ci rows")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: go test -bench . -benchmem ./... | %s [-o BENCH.json] [-compare BASELINE.json [-threshold 0.2]] [FILE]\n", os.Args[0])
+		fmt.Fprintf(os.Stderr, "usage: go test -bench . -benchmem ./... | %s [-o BENCH.json] [-compare BASELINE.json [-ci] [-report-only]] [FILE]\n", os.Args[0])
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
-	echo := true // piping mode passes the text through; file mode stays quiet
+	var echo io.Writer = os.Stdout // piping mode passes the text through; file mode stays quiet
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
@@ -125,37 +110,13 @@ func main() {
 		}
 		defer f.Close()
 		in = f
-		echo = false
+		echo = nil
 	}
 
-	var keep *regexp.Regexp
-	if *only != "" {
-		var err error
-		if keep, err = regexp.Compile(*only); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: -only:", err)
-			os.Exit(1)
-		}
-	}
-
-	var echoTo io.Writer
-	if echo {
-		echoTo = os.Stdout
-	}
-	results, h, err := parse(in, echoTo, keep)
+	results, h, err := parse(in, echo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
-	}
-
-	// Annotate before writing so the summary file records each benchmark's
-	// overhead against the baseline, then gate after the file is on disk.
-	compareOK := true
-	if *compare != "" {
-		compareOK = compareBaseline(os.Stderr, *compare, results, h, *threshold, *gateNS)
-		if !compareOK && *reportOnly {
-			fmt.Fprintln(os.Stderr, "benchjson: -report-only — regression reported above, not gating")
-			compareOK = true
-		}
 	}
 
 	if *out != "" {
@@ -165,9 +126,12 @@ func main() {
 			os.Exit(1)
 		}
 		writeSummary(f, results, h)
-		f.Close()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
 	} else if *compare == "" {
-		if echo {
+		if echo != nil {
 			// Raw text already went to stdout; don't interleave JSON with it.
 			fmt.Fprintln(os.Stderr, "benchjson: no -o file; JSON summary suppressed in pipe mode")
 			return
@@ -175,18 +139,25 @@ func main() {
 		writeSummary(os.Stdout, results, h)
 	}
 
-	if !compareOK {
+	if *compare != "" && !compareBaseline(os.Stderr, *compare, results, h, gates, *ciOnly) {
+		if *reportOnly {
+			fmt.Fprintln(os.Stderr, "benchjson: -report-only: the failing rows above do not fail this run")
+			return
+		}
 		os.Exit(1)
 	}
 }
 
 // parse reads `go test -bench` output, echoing every line to echo when it is
-// non-nil, and returns the benchmarks kept by keep (all when nil) with the
-// host they ran on. The Go version is benchjson's own: `make bench` runs it
-// with the toolchain that ran the benchmarks.
-func parse(in io.Reader, echo io.Writer, keep *regexp.Regexp) (map[string]result, host, error) {
-	results := map[string]result{}
+// non-nil, and returns each benchmark's measurements, repeated ones reduced
+// to their median, with the host they ran on. The Go version is benchjson's
+// own: `make bench` runs it with the toolchain that ran the benchmarks.
+func parse(in io.Reader, echo io.Writer) (map[string]result, host, error) {
+	runs := map[string][]result{}
 	h := host{Go: runtime.Version()}
+	// pending is a benchmark whose name line carried no measurements: one
+	// that logs while it runs prints its result on a later line.
+	pending := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -197,15 +168,76 @@ func parse(in io.Reader, echo io.Writer, keep *regexp.Regexp) (map[string]result
 		if h.parseHeader(line) {
 			continue
 		}
-		name, r, ok := parseBenchLine(line)
-		if ok && (keep == nil || keep.MatchString(name)) {
-			results[name] = r
-			if _, procs := splitProcs(strings.Fields(line)[0]); procs > 0 {
-				h.GOMAXPROCS = procs
-			}
+		var name string
+		var r result
+		var ok bool
+		if strings.HasPrefix(line, "Benchmark") {
+			pending = strings.Fields(line)[0]
+			name, r, ok = parseBenchLine(line)
+		} else if pending != "" {
+			name, _ = splitProcs(pending)
+			r, ok = measurements(strings.Fields(line))
 		}
+		if !ok {
+			continue
+		}
+		runs[name] = append(runs[name], r)
+		if _, procs := splitProcs(pending); procs > 0 {
+			h.GOMAXPROCS = procs
+		}
+		pending = ""
+	}
+	results := make(map[string]result, len(runs))
+	for name, rs := range runs {
+		results[name] = median(rs)
 	}
 	return results, h, sc.Err()
+}
+
+// median reduces repeated measurements of one benchmark to the median of
+// each metric.
+func median(rs []result) result {
+	var ns, bytes, allocs []float64
+	metrics := map[string][]float64{}
+	for _, r := range rs {
+		ns = append(ns, r.NsPerOp)
+		if r.BytesPerOp != nil {
+			bytes = append(bytes, *r.BytesPerOp)
+		}
+		if r.AllocsPerOp != nil {
+			allocs = append(allocs, *r.AllocsPerOp)
+		}
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	m := result{NsPerOp: med(ns)}
+	if len(bytes) > 0 {
+		v := med(bytes)
+		m.BytesPerOp = &v
+	}
+	if len(allocs) > 0 {
+		v := med(allocs)
+		m.AllocsPerOp = &v
+	}
+	for unit, vs := range metrics {
+		if m.Metrics == nil {
+			m.Metrics = map[string]float64{}
+		}
+		m.Metrics[unit] = med(vs)
+	}
+	return m
+}
+
+// med returns the median of xs, the mean of the middle two for an even
+// count. It sorts xs in place.
+func med(xs []float64) float64 {
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
 }
 
 // writeSummary encodes the results map, plus the host under hostKey, as
@@ -225,12 +257,10 @@ func writeSummary(w io.Writer, results map[string]result, h host) {
 	}
 }
 
-// compareBaseline diffs results against the baseline summary file and reports
-// per-benchmark deltas, annotating each overlapping entry in results with its
-// ns/op delta (VsBaseNsPct). It returns false if any benchmark present in
-// both regressed beyond the threshold on ns/op or — unless nsOnly — on
-// allocs/op. The baseline's host entry is reported, never compared.
-func compareBaseline(w io.Writer, path string, results map[string]result, h host, threshold float64, nsOnly bool) bool {
+// compareBaseline reads the baseline summary at path, reports both hosts
+// and, unless ciOnly, every benchmark's change against it, then checks rows
+// (only the ci rows when ciOnly) and returns whether all of them held.
+func compareBaseline(w io.Writer, path string, run map[string]result, h host, rows []gate, ciOnly bool) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(w, "benchjson:", err)
@@ -242,55 +272,37 @@ func compareBaseline(w io.Writer, path string, results map[string]result, h host
 		return false
 	}
 	if baseHost != nil {
-		fmt.Fprintf(w, "benchjson: baseline host: %v\n", *baseHost)
+		fmt.Fprintf(w, "benchjson: baseline host: %v (%s)\n", *baseHost, path)
 	} else {
-		fmt.Fprintln(w, "benchjson: baseline host: not recorded")
+		fmt.Fprintf(w, "benchjson: baseline host: not recorded (%s)\n", path)
 	}
 	fmt.Fprintf(w, "benchjson: this host:     %v\n", h)
-	names := make([]string, 0, len(results))
-	for name := range results {
-		names = append(names, name)
+	if !ciOnly {
+		report(w, run, base)
 	}
-	sort.Strings(names)
-	ok := true
-	compared := 0
-	fmt.Fprintf(w, "benchjson: comparing %d benchmark(s) against %s (threshold %+.0f%%)\n",
-		len(names), path, 100*threshold)
-	for _, name := range names {
+	return check(w, rows, run, base, ciOnly)
+}
+
+// report lists every benchmark of the run and the baseline with its ns/op
+// and allocs/op change. It gates nothing: the table's rows do.
+func report(w io.Writer, run, base map[string]result) {
+	fmt.Fprintf(w, "benchjson: %d benchmark(s) in this run, %d in the baseline\n", len(run), len(base))
+	for _, name := range union(run, base, nil) {
+		r, inRun := run[name]
 		b, inBase := base[name]
-		r := results[name]
-		if !inBase {
-			fmt.Fprintf(w, "  %-40s new benchmark, no baseline — skipped\n", name)
-			continue
+		switch {
+		case !inBase:
+			fmt.Fprintf(w, "  %-44s no baseline entry\n", name)
+		case !inRun:
+			fmt.Fprintf(w, "  %-44s not in this run\n", name)
+		default:
+			line := fmt.Sprintf("  %-44s ns/op %s", name, deltaStr(b.NsPerOp, r.NsPerOp))
+			if b.AllocsPerOp != nil && r.AllocsPerOp != nil {
+				line += "  allocs/op " + deltaStr(*b.AllocsPerOp, *r.AllocsPerOp)
+			}
+			fmt.Fprintln(w, line)
 		}
-		compared++
-		if b.NsPerOp > 0 {
-			pct := 100 * (r.NsPerOp - b.NsPerOp) / b.NsPerOp
-			r.VsBaseNsPct = &pct
-			results[name] = r
-		}
-		line := fmt.Sprintf("  %-40s ns/op %s", name, deltaStr(b.NsPerOp, r.NsPerOp))
-		bad := regressed(b.NsPerOp, r.NsPerOp, threshold)
-		if b.AllocsPerOp != nil && r.AllocsPerOp != nil {
-			line += fmt.Sprintf("  allocs/op %s", deltaStr(*b.AllocsPerOp, *r.AllocsPerOp))
-			bad = bad || (!nsOnly && regressed(*b.AllocsPerOp, *r.AllocsPerOp, threshold))
-		}
-		if bad {
-			line += "  REGRESSION"
-			ok = false
-		}
-		fmt.Fprintln(w, line)
 	}
-	if compared == 0 {
-		fmt.Fprintln(w, "benchjson: no benchmark overlapped the baseline — nothing compared")
-		return false
-	}
-	if !ok {
-		fmt.Fprintf(w, "benchjson: FAIL — regression beyond %.0f%% vs %s\n", 100*threshold, path)
-	} else {
-		fmt.Fprintf(w, "benchjson: OK — %d benchmark(s) within %.0f%% of %s\n", compared, 100*threshold, path)
-	}
-	return ok
 }
 
 // decodeSummary parses a summary file into its benchmarks and, when the file
@@ -319,23 +331,17 @@ func decodeSummary(data []byte) (map[string]result, *host, error) {
 	return base, h, nil
 }
 
-// regressed reports whether the new value exceeds the old by more than the
-// fractional threshold. A zero/negative old value can't regress (nothing to
-// be slower than for allocs already at 0 only if new is also 0).
-func regressed(old, new, threshold float64) bool {
-	if old <= 0 {
-		return new > 0
-	}
-	return new > old*(1+threshold)
-}
-
 // deltaStr formats "old -> new (+x%)".
 func deltaStr(old, new float64) string {
-	if old <= 0 {
-		return fmt.Sprintf("%.0f -> %.0f", old, new)
+	s := num(old) + " -> " + num(new)
+	if old > 0 {
+		s += fmt.Sprintf(" (%+.1f%%)", 100*(new-old)/old)
 	}
-	return fmt.Sprintf("%.0f -> %.0f (%+.1f%%)", old, new, 100*(new-old)/old)
+	return s
 }
+
+// num formats a measurement as go test printed it.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // splitProcs splits the -GOMAXPROCS suffix off a benchmark name, returning
 // 0 procs when the name carries none.
@@ -355,14 +361,24 @@ func parseBenchLine(line string) (string, result, bool) {
 		return "", result{}, false
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return "", result{}, false
-	}
 	// Strip the -GOMAXPROCS suffix so keys are stable across machines.
 	name, _ := splitProcs(fields[0])
+	r, ok := measurements(fields[1:])
+	return name, r, ok
+}
+
+// measurements parses the fields after a benchmark's name: the iteration
+// count, then value-unit pairs. ok is false unless they hold an ns/op.
+func measurements(fields []string) (result, bool) {
 	var r result
+	if len(fields) < 3 {
+		return r, false
+	}
+	if _, err := strconv.Atoi(fields[0]); err != nil {
+		return r, false
+	}
 	var seen bool
-	for i := 2; i+1 < len(fields); i += 2 {
+	for i := 1; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
@@ -386,5 +402,5 @@ func parseBenchLine(line string) (string, result, bool) {
 			r.Metrics[fields[i+1]] = v
 		}
 	}
-	return name, r, seen
+	return r, seen
 }

@@ -98,7 +98,7 @@ func NewCoordinator(pool *service.Pool, cfg Config) *Coordinator {
 		func() float64 { return c.members.Imbalance() })
 	reg.GaugeFunc("thermserved_cluster_lease_churn_per_min",
 		"Lease reassignments within the trailing minute.",
-		func() float64 { return float64(c.events.RecentReassigns(time.Minute)) })
+		func() float64 { return float64(c.events.RecentReassigns()) })
 
 	c.mux.HandleFunc("POST /cluster/v2/register", c.handleRegister)
 	c.mux.HandleFunc("POST /cluster/v2/heartbeat", c.handleHeartbeat)

@@ -47,6 +47,17 @@ const (
 	clusterMaxAnomalies = 16
 )
 
+// rateWindow is the trailing window of the status surface's commit and
+// lease-churn rates.
+const rateWindow = time.Minute
+
+// rateStamp is one commit or reassignment within the trailing rateWindow.
+type rateStamp struct {
+	us     int64
+	worker string
+	commit bool // a cell_committed event; otherwise a lease_reassigned one
+}
+
 // ClusterRecorder is the cluster-level black box: a bounded ring of
 // membership/lease events with a cursor-based reader (the SSE live stream),
 // plus storm detection — a burst of lease reassignments or worker deaths
@@ -67,6 +78,12 @@ type ClusterRecorder struct {
 	reassignsUS   []int64
 	deathsUS      []int64
 	cooldownUS    map[string]int64
+
+	// rates holds the commits and reassignments of the trailing rateWindow,
+	// oldest first, apart from the ring: every cell also records a grant, so
+	// a fleet committing more than ~512 cells a minute overruns the ring
+	// within the window.
+	rates []rateStamp
 
 	dir       string
 	anomalies []telemetry.Anomaly
@@ -107,7 +124,10 @@ func (c *ClusterRecorder) Record(ev ClusterEvent) {
 	}
 	c.ring.Push(ev)
 	switch ev.Kind {
+	case EventCellCommitted:
+		c.rates = append(c.pruneRates(ev.TimeUS), rateStamp{us: ev.TimeUS, worker: ev.Worker, commit: true})
 	case EventLeaseReassigned:
+		c.rates = append(c.pruneRates(ev.TimeUS), rateStamp{us: ev.TimeUS, worker: ev.Worker})
 		c.reassignsUS = append(c.reassignsUS, ev.TimeUS)
 		c.reassignsUS = pruneWindow(c.reassignsUS, ev.TimeUS, c.window)
 		if c.reassignLimit > 0 && len(c.reassignsUS) >= c.reassignLimit {
@@ -132,6 +152,18 @@ func pruneWindow(ts []int64, nowUS int64, window time.Duration) []int64 {
 		i++
 	}
 	return ts[i:]
+}
+
+// pruneRates drops the rate stamps older than rateWindow before nowUS and
+// returns the rest. Callers hold c.mu.
+func (c *ClusterRecorder) pruneRates(nowUS int64) []rateStamp {
+	cutoff := nowUS - rateWindow.Microseconds()
+	i := 0
+	for i < len(c.rates) && c.rates[i].us < cutoff {
+		i++
+	}
+	c.rates = c.rates[i:]
+	return c.rates
 }
 
 // tripLocked records one storm anomaly and dumps the event ring, rate-limited
@@ -199,35 +231,33 @@ func (c *ClusterRecorder) Since(cursor int64) ([]ClusterEvent, int64) {
 }
 
 // RecentCommits counts cell_committed events per worker within the trailing
-// window — the status surface's per-worker throughput signal.
-func (c *ClusterRecorder) RecentCommits(window time.Duration) map[string]int {
+// minute — the status surface's per-worker throughput signal.
+func (c *ClusterRecorder) RecentCommits() map[string]int {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cutoff := c.now().UnixMicro() - window.Microseconds()
 	out := make(map[string]int)
-	for _, ev := range c.ring.Items() {
-		if ev.Kind == EventCellCommitted && ev.TimeUS >= cutoff {
-			out[ev.Worker]++
+	for _, st := range c.pruneRates(c.now().UnixMicro()) {
+		if st.commit {
+			out[st.worker]++
 		}
 	}
 	return out
 }
 
-// RecentReassigns counts lease reassignments within the trailing window —
+// RecentReassigns counts lease reassignments within the trailing minute —
 // the lease-churn-rate gauge's source.
-func (c *ClusterRecorder) RecentReassigns(window time.Duration) int {
+func (c *ClusterRecorder) RecentReassigns() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cutoff := c.now().UnixMicro() - window.Microseconds()
 	n := 0
-	for _, ev := range c.ring.Items() {
-		if ev.Kind == EventLeaseReassigned && ev.TimeUS >= cutoff {
+	for _, st := range c.pruneRates(c.now().UnixMicro()) {
+		if !st.commit {
 			n++
 		}
 	}

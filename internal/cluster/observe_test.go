@@ -417,6 +417,43 @@ func TestClusterRecorderStormDump(t *testing.T) {
 	}
 }
 
+// TestClusterRecorderRatesCountWholeMinute: the status rates count every
+// commit and reassignment of the trailing minute, though a grant and a
+// commit per cell overrun the event ring far sooner, and forget what falls
+// out of the minute.
+func TestClusterRecorderRatesCountWholeMinute(t *testing.T) {
+	rec := NewClusterRecorder("", time.Second, -1, -1, telemetry.NewRegistry())
+	start := time.Unix(1_700_000_000, 0)
+	now := start
+	rec.now = func() time.Time { return now }
+	for i := 0; i < 2000; i++ { // one cell per 10 ms: 20 s
+		now = start.Add(time.Duration(i) * 10 * time.Millisecond)
+		rec.Record(ClusterEvent{Kind: EventLeaseGranted, Worker: "w1", Cell: i})
+		rec.Record(ClusterEvent{Kind: EventCellCommitted, Worker: "w1", Cell: i})
+		if i%4 == 0 {
+			rec.Record(ClusterEvent{Kind: EventLeaseReassigned, Worker: "w2", Cell: i})
+		}
+	}
+	if got := rec.RecentCommits(); len(got) != 1 || got["w1"] != 2000 {
+		t.Errorf("RecentCommits = %v, want map[w1:2000]", got)
+	}
+	if got := rec.RecentReassigns(); got != 500 {
+		t.Errorf("RecentReassigns = %d, want 500", got)
+	}
+	// A minute after the 1,000th cell, the later 1,000 remain.
+	now = start.Add(10*time.Second + time.Minute)
+	if got := rec.RecentCommits(); got["w1"] != 1000 {
+		t.Errorf("RecentCommits a minute after cell 1000 = %v, want map[w1:1000]", got)
+	}
+	if got := rec.RecentReassigns(); got != 250 {
+		t.Errorf("RecentReassigns a minute after cell 1000 = %d, want 250", got)
+	}
+	now = start.Add(21*time.Second + time.Minute)
+	if got := rec.RecentCommits(); len(got) != 0 || rec.RecentReassigns() != 0 || len(rec.rates) != 0 {
+		t.Errorf("a minute after the last cell: RecentCommits = %v, %d stamps kept, want none", got, len(rec.rates))
+	}
+}
+
 // TestClusterRecorderSinceResync: a cursor that lags past ring overwrite
 // resyncs at the oldest retained event without duplicates.
 func TestClusterRecorderSinceResync(t *testing.T) {

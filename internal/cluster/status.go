@@ -10,10 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// throughputWindow is the trailing window over which per-worker throughput is
-// counted for the status surface.
-const throughputWindow = time.Minute
-
 // ClusterStatus is the /v1/cluster/status document: one self-contained
 // snapshot of the cluster's health for dashboards and operators. The same
 // document is re-emitted periodically on the /v1/cluster/live SSE stream.
@@ -52,8 +48,8 @@ func (c *Coordinator) Status() ClusterStatus {
 		Alive:             c.members.Alive(),
 		LeasesActive:      int(c.attempts.Load()),
 		ShardImbalance:    c.members.Imbalance(),
-		ThroughputCPM:     c.events.RecentCommits(throughputWindow),
-		ChurnPerMin:       c.events.RecentReassigns(time.Minute),
+		ThroughputCPM:     c.events.RecentCommits(),
+		ChurnPerMin:       c.events.RecentReassigns(),
 		EventsTotal:       c.events.Total(),
 		LearningRuns:      runs,
 		LearningConverged: converged,

@@ -12,8 +12,8 @@ import (
 // sticky select, epoch end), the ReLeTA agent's identical cycle on its
 // temperature-centric state space, and the distilled table's single lookup.
 // The distilled case is the headline number — its near-zero cost is the
-// point of distillation, and make bench-distilled-gate holds it to a ns/op
-// ceiling.
+// point of distillation, and a row of cmd/benchjson's gate table (make
+// bench-gate) holds it to a ns/op ceiling.
 func BenchmarkDecisionEpoch(b *testing.B) {
 	benchAgent := func(b *testing.B, states, actions int) {
 		b.Helper()

@@ -212,18 +212,6 @@ func (t *Tracer) Start(parent SpanID, kind, name string, attrs ...Attr) SpanID {
 	return id
 }
 
-// Annotate appends attributes to a still-open span (no-op once ended).
-func (t *Tracer) Annotate(id SpanID, attrs ...Attr) {
-	if t == nil || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sp, ok := t.active[id]; ok {
-		sp.Attrs = append(sp.Attrs, attrs...)
-	}
-}
-
 // End closes a span, appending any final attributes, and commits it. Ending
 // an unknown (or already ended) span is a no-op.
 func (t *Tracer) End(id SpanID, attrs ...Attr) {

@@ -107,8 +107,7 @@ func TestTracerOpenSpansInSnapshot(t *testing.T) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	id := tr.Start(0, KindJob, "x", Str("k", "v"))
-	tr.Annotate(id, Num("n", 1))
-	tr.End(id)
+	tr.End(id, Num("n", 1))
 	tr.Record(0, KindEpoch, "e", 0, 1)
 	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Dropped() != 0 || tr.Now() != 0 {
 		t.Error("nil tracer must be inert")
@@ -125,8 +124,7 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				id := tr.Start(root, KindCell, "cell")
-				tr.Annotate(id, Num("i", float64(i)))
-				tr.End(id)
+				tr.End(id, Num("i", float64(i)))
 				tr.Snapshot()
 			}
 		}()

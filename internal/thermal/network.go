@@ -141,47 +141,6 @@ func (n *Network) Conductance(i, j int) float64 { return n.g[i][j] }
 // AmbientConductance returns node i's direct conductance to the ambient.
 func (n *Network) AmbientConductance(i int) float64 { return n.nodes[i].AmbientConductance }
 
-// derivative computes dT/dt for every node given temperatures t (degrees C)
-// and injected power p (W), writing the result into dst.
-func (n *Network) derivative(dst, t, p []float64) {
-	for i := range n.nodes {
-		q := p[i] - n.nodes[i].AmbientConductance*(t[i]-n.ambient)
-		row := n.g[i]
-		ti := t[i]
-		for j, gij := range row {
-			if gij != 0 {
-				q -= gij * (ti - t[j])
-			}
-		}
-		dst[i] = q / n.nodes[i].Capacitance
-	}
-}
-
-// MaxStableStep returns a conservative upper bound on the forward-Euler step
-// size (seconds) that keeps the explicit integration stable: for each node
-// the step must be below 2*C_i/Gtot_i; we return half of the tightest bound
-// as a safety margin.
-func (n *Network) MaxStableStep() float64 {
-	minStep := math.Inf(1)
-	for i := range n.nodes {
-		gtot := n.nodes[i].AmbientConductance
-		for _, gij := range n.g[i] {
-			gtot += gij
-		}
-		if gtot == 0 {
-			continue
-		}
-		s := n.nodes[i].Capacitance / gtot // tau_i
-		if s < minStep {
-			minStep = s
-		}
-	}
-	if math.IsInf(minStep, 1) {
-		return 1
-	}
-	return minStep // tau itself is already < 2*tau stability bound with margin
-}
-
 // SteadyState solves for the equilibrium temperatures (degrees Celsius) under
 // constant power injection p. It solves the linear system
 // (G + diag(Gamb)) T = P + Gamb*Tamb via Gaussian elimination with partial
